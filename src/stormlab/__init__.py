@@ -43,9 +43,10 @@ from .harness import (
     write_outputs,
     write_trace_csv,
 )
-from .numerics import RngStream, as_vector, axpy, gaussian, norm_sq
+from .numerics import RngStream, as_vector, gaussian, norm_sq
 from .optimizers import (
     ALGORITHMS,
+    DivergenceError,
     RunRecord,
     warmup_batch_size,
     run_ada_storm,

@@ -7,8 +7,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import fit_loglog_slope
-from .harness import load_config, load_summary, run_grid, run_property_checks, write_outputs
+from .harness import (
+    fit_slopes,
+    load_config,
+    load_summary,
+    run_grid,
+    run_property_checks,
+    write_outputs,
+)
+
+
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
 
 
 def _cmd_run(args) -> int:
@@ -55,26 +68,7 @@ def _cmd_slopes(args) -> int:
         return 2
     if not slopes:
         # Older or minimal summaries: refit from the rows when possible.
-        by_algo = {}
-        for row in rows:
-            by_algo.setdefault((row.algorithm, row.problem), []).append(
-                (row.T, row.avg_grad_norm)
-            )
-        for (algo, prob), points in sorted(by_algo.items()):
-            points.sort()
-            if len(points) >= 3 and all(y > 0 for _, y in points):
-                fit = fit_loglog_slope(points)
-                slopes.append(
-                    {
-                        "algorithm": algo,
-                        "problem": prob,
-                        "metric": "avg_grad_norm",
-                        "slope": fit.slope,
-                        "intercept": fit.intercept,
-                        "r_squared": fit.r_squared,
-                        "points": [list(p) for p in fit.points],
-                    }
-                )
+        slopes = fit_slopes(sorted(rows, key=lambda r: (r.algorithm, r.problem)))
     if not slopes:
         print("no slope fits available (need >= 3 horizons per algorithm)")
         return 0
@@ -98,8 +92,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config", nargs="?", help="path to the JSON config")
     p_run.add_argument("--config", dest="config_flag", help="alternative to the positional path")
     p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p_run.add_argument("--thin", type=int, default=None, help="keep every k-th trace row")
+    p_run.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
+    p_run.add_argument("--thin", type=_positive_int, default=None, help="keep every k-th trace row")
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="run the built-in property checks")

@@ -16,7 +16,7 @@ and previous iterate. beta = 1 drops all history and returns grad_new.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,7 @@ class Snapshot:
     period: int
 
     def aged(self) -> "Snapshot":
-        return replace(self, age=self.age + 1)
+        return Snapshot(self.x, self.full_grad, self.age + 1, self.period)
 
 
 def take_snapshot(problem, x, period: int) -> Snapshot:

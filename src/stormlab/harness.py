@@ -19,30 +19,9 @@ import numpy as np
 from . import problems
 from .analysis import fit_loglog_slope, prefix_power_sum_bounds, summarize
 from .numerics import RngStream
-from .optimizers import ALGORITHMS, RunRecord, run_algorithm
+from .optimizers import RunRecord, check_run, run_algorithm
 
 TRACE_HEADER = "t,f,grad_norm,v_norm_sq,eta,beta,est_error"
-
-# Per-algorithm tunables accepted in configs, with the defaults filled in
-# at parse time so the echoed config is canonical.
-ALGORITHM_FIELDS = {
-    "ada_storm": {"alpha"},
-    "ada_storm_doubling": {"alpha"},
-    "comp_storm": {"alpha"},
-    "fs_storm": {"alpha"},
-    "fs_storm_svrg": {"alpha", "period", "eta_const"},
-    "sgd": {"eta0", "decay"},
-    "storm_original": {"k", "w", "c"},
-}
-
-_PARAM_DEFAULTS = {
-    "alpha": 0.3,
-    "eta0": 0.1,
-    "decay": 0.0,
-    "k": 0.1,
-    "w": 1.0,
-    "c": 10.0,
-}
 
 
 def _fmt(x) -> str:
@@ -81,43 +60,9 @@ def _parse_algorithm(entry: dict, problem_name: str) -> dict:
     if "name" not in entry:
         raise ValueError("algorithm entry needs a 'name' field")
     name = entry["name"]
-    if name not in ALGORITHM_FIELDS:
-        raise ValueError(
-            f"unknown algorithm '{name}', expected one of {sorted(ALGORITHM_FIELDS)}"
-        )
-    allowed = ALGORITHM_FIELDS[name] | {"name", "label"}
-    _require_keys(entry, allowed, f"algorithm '{name}'")
+    params = {k: v for k, v in entry.items() if k not in ("name", "label")}
     out = {"name": name, "label": str(entry.get("label", name))}
-    for key in sorted(ALGORITHM_FIELDS[name]):
-        if key in entry:
-            out[key] = entry[key]
-        elif key in _PARAM_DEFAULTS:
-            out[key] = _PARAM_DEFAULTS[key]
-        # keys without defaults (period, eta_const) stay absent
-    if "alpha" in out and not 0.0 < float(out["alpha"]) < 1.0 / 3.0:
-        raise ValueError(
-            f"alpha must lie in (0, 1/3), got {out['alpha']} for '{name}'"
-        )
-    if name == "sgd":
-        if float(out["eta0"]) <= 0:
-            raise ValueError(f"eta0 must be positive, got {out['eta0']}")
-        if float(out["decay"]) < 0:
-            raise ValueError(f"decay must be nonnegative, got {out['decay']}")
-    if name == "storm_original" and (
-        float(out["k"]) <= 0 or float(out["w"]) <= 0 or float(out["c"]) <= 0
-    ):
-        # c = 0 would yield beta = 0, which the estimator recursion rejects
-        raise ValueError("storm_original needs k > 0, w > 0, c > 0")
-    if name == "fs_storm_svrg":
-        if "period" in out and int(out["period"]) < 1:
-            raise ValueError(f"period must be >= 1, got {out['period']}")
-        if "eta_const" in out and float(out["eta_const"]) <= 0:
-            raise ValueError(f"eta_const must be positive, got {out['eta_const']}")
-    _, families = ALGORITHMS[name]
-    if problem_name not in families:
-        raise ValueError(
-            f"algorithm '{name}' does not accept problem family '{problem_name}'"
-        )
+    out.update(sorted(check_run(name, problem_name, params).items()))
     return out
 
 
@@ -291,18 +236,26 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
             result.rows.append(
                 SummaryRow(algorithm=label, problem=problem_name, T=T, **stats)
             )
-        points = [
-            (row.T, row.avg_grad_norm)
-            for row in result.rows
-            if row.algorithm == label
-        ]
+    result.slopes = fit_slopes(result.rows)
+    return result
+
+
+def fit_slopes(rows) -> list:
+    """Log-log fit of avg_grad_norm against T for each (algorithm, problem)
+    in `rows`, in first-seen order; groups with fewer than three horizons
+    or a nonpositive value are left out."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row.algorithm, row.problem), []).append((row.T, row.avg_grad_norm))
+    slopes = []
+    for (algorithm, problem), points in groups.items():
         points.sort()
         if len(points) >= 3 and all(y > 0 for _, y in points):
             fit = fit_loglog_slope(points)
-            result.slopes.append(
+            slopes.append(
                 {
-                    "algorithm": label,
-                    "problem": problem_name,
+                    "algorithm": algorithm,
+                    "problem": problem,
                     "metric": "avg_grad_norm",
                     "slope": fit.slope,
                     "intercept": fit.intercept,
@@ -310,7 +263,7 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
                     "points": [list(p) for p in fit.points],
                 }
             )
-    return result
+    return slopes
 
 
 def _cell_name(cell, config) -> str:

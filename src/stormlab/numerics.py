@@ -34,15 +34,6 @@ def norm_sq(v) -> float:
     return float(np.dot(v, v))
 
 
-def axpy(a: float, x, y) -> Vector:
-    """Return a * x + y without mutating either input."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return a * x + y
-
-
 def gaussian(rng: "RngStream", dim: int, sigma: float) -> Vector:
     """Draw an i.i.d. N(0, sigma^2) vector of length dim.
 

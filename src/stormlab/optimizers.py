@@ -1,18 +1,26 @@
-"""Optimizer run loops producing fully deterministic trace records.
+"""Optimizer runs producing fully deterministic trace records.
 
-Every run function follows the same shape: derive labeled random streams
-from the seed, initialize the gradient estimate, then per step record the
-trace row AT the current iterate before moving. Recorded columns:
+Every algorithm runs through one loop (`_run`). An algorithm supplies only
+its set-up and its per-step rule, which returns the gradient estimate v,
+the step size eta and the momentum weight beta. The loop derives labeled
+random streams from the seed, records the trace row AT the current iterate,
+then moves to x - eta * v. Recorded columns:
 
     t, f, grad_norm, v_norm_sq, eta, beta, est_error
 
 where grad_norm and est_error are measured against the problem's exact
 gradient. A uniformly random reporting index tau is drawn from its own
 stream so that it never perturbs the iterate randomness.
+
+`ALGORITHMS` is the one registry of algorithms. A runner's signature holds
+the algorithm's tunables and their defaults, and `PARAM_RANGES` holds each
+tunable's range; configs and direct calls are both checked by `check_run`.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -74,64 +82,15 @@ class RunRecord:
         }
 
 
-class _Trace:
-    """Preallocated trace buffers shared by all run loops."""
+class DivergenceError(ArithmeticError):
+    """A run reached a non-finite f, v_norm_sq or eta at step t."""
 
-    def __init__(self, T, dim, keep_iterates):
-        self.f = np.empty(T)
-        self.grad_norm = np.empty(T)
-        self.v_norm_sq = np.empty(T)
-        self.eta = np.empty(T)
-        self.beta = np.empty(T)
-        self.est_error = np.empty(T)
-        self.iterates = np.empty((T + 1, dim)) if keep_iterates else None
-        self.v_history = np.empty((T, dim)) if keep_iterates else None
-        self.x_tau = None
+    def __init__(self, t, quantity, value):
+        super().__init__(t, quantity, value)
+        self.t, self.quantity, self.value = t, quantity, value
 
-    def row(self, t, x, f_val, g_true, v, eta, beta, tau):
-        i = t - 1
-        diff = v - g_true
-        self.f[i] = f_val
-        self.grad_norm[i] = math.sqrt(float(g_true @ g_true))
-        self.v_norm_sq[i] = float(v @ v)
-        self.eta[i] = eta
-        self.beta[i] = beta
-        self.est_error[i] = math.sqrt(float(diff @ diff))
-        if t == tau:
-            self.x_tau = x.copy()
-        if self.iterates is not None:
-            self.iterates[i] = x
-            self.v_history[i] = v
-
-    def finish(self, T, x, tau, config) -> RunRecord:
-        if self.iterates is not None:
-            self.iterates[T] = x
-        return RunRecord(
-            t=np.arange(1, T + 1, dtype=np.int64),
-            f=self.f,
-            grad_norm=self.grad_norm,
-            v_norm_sq=self.v_norm_sq,
-            eta=self.eta,
-            beta=self.beta,
-            est_error=self.est_error,
-            tau=tau,
-            x_tau=self.x_tau,
-            x_final=x.copy(),
-            config=config,
-            iterates=self.iterates,
-            v_history=self.v_history,
-        )
-
-
-def _start(problem, T, seed, x0):
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    x = problem.x0.copy() if x0 is None else as_vector(x0)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {x.shape}, problem dim is {problem.dim}")
-    root = RngStream(seed)
-    tau = int(root.child("tau").generator.integers(1, T + 1))
-    return x, root, tau
+    def __str__(self):
+        return f"{self.quantity} is not finite ({self.value}) at step t={self.t}"
 
 
 def warmup_batch_size(horizon: int) -> int:
@@ -140,13 +99,151 @@ def warmup_batch_size(horizon: int) -> int:
     return int(math.ceil(horizon ** (1.0 / 3.0) - 1e-12))
 
 
-def _echo(problem, T, seed, algorithm: dict) -> dict:
+# Runner arguments that are not tunables of the algorithm.
+_RUN_ARGS = {"problem", "T", "seed", "x0", "keep_iterates"}
+
+# Every tunable's type and range, keyed by parameter name.
+PARAM_RANGES = {
+    "alpha": (float, lambda a: 0.0 < a < 1.0 / 3.0, "lie in (0, 1/3)"),
+    "eta0": (float, lambda v: v > 0, "be > 0"),
+    "decay": (float, lambda v: v >= 0, "be >= 0"),
+    "k": (float, lambda v: v > 0, "be > 0"),
+    "w": (float, lambda v: v > 0, "be > 0"),
+    "c": (float, lambda v: v > 0, "be > 0"),
+    "period": (int, lambda v: v >= 1, "be an integer >= 1"),
+    "eta_const": (float, lambda v: v > 0, "be > 0"),
+}
+
+
+def tunables(name: str) -> dict:
+    """Tunables of a registered algorithm and their defaults, in the order
+    of its runner's signature; a default of None means no default."""
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm '{name}', expected one of {sorted(ALGORITHMS)}")
+    runner, _ = ALGORITHMS[name]
     return {
-        "algorithm": algorithm,
-        "problem": dict(problem.spec),
-        "T": int(T),
-        "seed": int(seed),
+        p.name: p.default
+        for p in inspect.signature(runner).parameters.values()
+        if p.name not in _RUN_ARGS
     }
+
+
+def check_run(name: str, family, params: dict) -> dict:
+    """Check one run of algorithm `name` on problem family `family`.
+
+    Returns `params` with each missing tunable's default filled in, in the
+    runner's signature order; a tunable whose default is None stays absent
+    until given. Raises ValueError on an unknown algorithm or key, a value
+    outside its range, or a family the algorithm does not accept.
+    """
+    defaults = tunables(name)
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown keys in algorithm '{name}': {sorted(unknown)}")
+    out = {}
+    for key, default in defaults.items():
+        value = params.get(key, default)
+        if value is None and default is None:
+            continue
+        kind, test, wording = PARAM_RANGES[key]
+        try:
+            cast = kind(value)
+            ok = cast == value and math.isfinite(cast) and test(cast)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{name}: {key} must {wording}, got {value}")
+        out[key] = value
+    if family not in ALGORITHMS[name][1]:
+        raise ValueError(f"algorithm '{name}' does not accept problem family '{family}'")
+    return out
+
+
+def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecord:
+    """The one run loop behind every runner.
+
+    `steps(problem, T, x0, root, **params)` sets the algorithm up at the
+    starting point and returns its rule `step(t, x, x_prev) -> (v, eta,
+    beta)`. The loop owns the rest: the entry checks, the tau draw, the
+    exact-gradient measurement and trace row at x, the move, the stop on a
+    non-finite value and the config echo.
+    """
+    params = check_run(name, problem.spec.get("name"), params)
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    x = problem.x0.copy() if x0 is None else as_vector(x0)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"x0 has shape {x.shape}, problem dim is {problem.dim}")
+    root = RngStream(seed)
+    tau = int(root.child("tau").generator.integers(1, T + 1))
+    step = steps(problem, T, x, root, **params)
+
+    f, grad_norm, v_norm_sq, etas, betas, est_error = (np.empty(T) for _ in range(6))
+    iterates = np.empty((T + 1, problem.dim)) if keep_iterates else None
+    v_history = np.empty((T, problem.dim)) if keep_iterates else None
+    x_tau = None
+    x_prev = x
+    isfinite, sqrt = math.isfinite, math.sqrt
+    # A floating-point error shows up as a non-finite value below, which
+    # stops the run; numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        for t in range(1, T + 1):
+            f_val, g_true = problem.value_and_grad(x)
+            if not isfinite(f_val):
+                raise DivergenceError(t, "f", f_val)
+            v, eta, beta = step(t, x, x_prev)
+            v_sq = v @ v
+            if not isfinite(v_sq):
+                raise DivergenceError(t, "v_norm_sq", v_sq)
+            if not isfinite(eta):
+                raise DivergenceError(t, "eta", eta)
+            i = t - 1
+            diff = v - g_true
+            f[i] = f_val
+            grad_norm[i] = sqrt(g_true @ g_true)
+            v_norm_sq[i] = v_sq
+            etas[i] = eta
+            betas[i] = beta
+            est_error[i] = sqrt(diff @ diff)
+            if t == tau:
+                x_tau = x.copy()
+            if keep_iterates:
+                iterates[i] = x
+                v_history[i] = v
+            x_prev = x
+            x = x - eta * v
+    if keep_iterates:
+        iterates[T] = x
+
+    algorithm = {"name": name}
+    algorithm.update((key, PARAM_RANGES[key][0](value)) for key, value in params.items())
+    config = {"algorithm": algorithm, "problem": dict(problem.spec), "T": int(T), "seed": int(seed)}
+    return RunRecord(
+        np.arange(1, T + 1, dtype=np.int64), f, grad_norm, v_norm_sq, etas, betas, est_error,
+        tau, x_tau, x.copy(), config, iterates, v_history,
+    )
+
+
+def _ada_storm_steps(problem, T, x, root, alpha, doubling=False):
+    step_rng = root.child("step")
+    init_rng = root.child("init")
+    v = beta = None
+    sum_sq = 0.0
+
+    def step(t, x, x_prev):
+        nonlocal v, beta, sum_sq
+        horizon, reset = stage_length(t) if doubling else (T, t == 1)
+        if reset:
+            sum_sq = 0.0
+            beta = ada_beta(horizon)
+            v = storm_init(problem, x, warmup_batch_size(horizon), init_rng)
+        else:
+            token = problem.draw(step_rng)
+            v = storm_update(v, beta, problem.grad_at(token, x), problem.grad_at(token, x_prev))
+        sum_sq += norm_sq(v)
+        return v, ada_lr(horizon, alpha, sum_sq), beta
+
+    return step
 
 
 def run_ada_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -> RunRecord:
@@ -155,29 +252,10 @@ def run_ada_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -
     The estimate starts from a warm-up batch of ceil(T**(1/3)) samples;
     afterwards each step reuses one sample at the current and previous
     iterate. beta is fixed at T**(-2/3) and eta follows ada_lr on the
-    running sum of squared estimate norms (current step included).
+    running sum of squared estimate norms (current step included). This is
+    the doubling variant with a single stage of length T.
     """
-    x, root, tau = _start(problem, T, seed, x0)
-    trace = _Trace(T, problem.dim, keep_iterates)
-    step_rng = root.child("step")
-    beta = ada_beta(T)
-    v = storm_init(problem, x, warmup_batch_size(T), root.child("init"))
-    sum_sq = 0.0
-    x_prev = x
-    for t in range(1, T + 1):
-        if t > 1:
-            token = problem.draw(step_rng)
-            v = storm_update(
-                v, beta, problem.grad_at(token, x), problem.grad_at(token, x_prev)
-            )
-        sum_sq += norm_sq(v)
-        eta = ada_lr(T, alpha, sum_sq)
-        f_val, g_true = problem.value_and_grad(x)
-        trace.row(t, x, f_val, g_true, v, eta, beta, tau)
-        x_prev = x
-        x = x - eta * v
-    cfg = _echo(problem, T, seed, {"name": "ada_storm", "alpha": float(alpha)})
-    return trace.finish(T, x, tau, cfg)
+    return _run("ada_storm", problem, T, seed, x0, keep_iterates, _ada_storm_steps, alpha=alpha)
 
 
 def run_ada_storm_doubling(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -> RunRecord:
@@ -188,33 +266,44 @@ def run_ada_storm_doubling(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates
     squared-norm sum. At every stage opening the estimate is refreshed from
     a warm-up batch of ceil(stage**(1/3)) fresh samples.
     """
-    x, root, tau = _start(problem, T, seed, x0)
-    trace = _Trace(T, problem.dim, keep_iterates)
-    step_rng = root.child("step")
-    init_rng = root.child("init")
-    v = None
-    beta = 1.0
-    stage_sum = 0.0
-    x_prev = x
-    for t in range(1, T + 1):
-        stage, reset = stage_length(t)
-        if reset:
-            stage_sum = 0.0
-            beta = ada_beta(stage)
-            v = storm_init(problem, x, warmup_batch_size(stage), init_rng)
-        else:
-            token = problem.draw(step_rng)
-            v = storm_update(
-                v, beta, problem.grad_at(token, x), problem.grad_at(token, x_prev)
+    steps = functools.partial(_ada_storm_steps, doubling=True)
+    return _run("ada_storm_doubling", problem, T, seed, x0, keep_iterates, steps, alpha=alpha)
+
+
+def _comp_storm_steps(problem, T, x, root, alpha):
+    inner_rng = root.child("inner")
+    outer_rng = root.child("outer")
+    init_inner = root.child("init_inner")
+    init_outer = root.child("init_outer")
+    beta = ada_beta(T)
+    batch = warmup_batch_size(T)
+    inner_tokens = [problem.draw_inner(init_inner) for _ in range(batch)]
+    outer_tokens = [problem.draw_outer(init_outer) for _ in range(batch)]
+    u = np.mean([problem.inner_value(tok, x) for tok in inner_tokens], axis=0)
+    v = np.mean(
+        [problem.inner_jac(zt, x).T @ problem.outer_grad(xt, u)
+         for zt, xt in zip(inner_tokens, outer_tokens)],
+        axis=0,
+    )
+    sum_sq = 0.0
+
+    def step(t, x, x_prev):
+        nonlocal u, v, sum_sq
+        if t > 1:
+            zeta = problem.draw_inner(inner_rng)
+            xi = problem.draw_outer(outer_rng)
+            u_new = comp_inner_update(
+                u, beta, problem.inner_value(zeta, x), problem.inner_value(zeta, x_prev)
             )
-        stage_sum += norm_sq(v)
-        eta = ada_lr(stage, alpha, stage_sum)
-        f_val, g_true = problem.value_and_grad(x)
-        trace.row(t, x, f_val, g_true, v, eta, beta, tau)
-        x_prev = x
-        x = x - eta * v
-    cfg = _echo(problem, T, seed, {"name": "ada_storm_doubling", "alpha": float(alpha)})
-    return trace.finish(T, x, tau, cfg)
+            v = comp_grad_update(
+                v, beta, problem.outer_grad(xi, u_new), problem.inner_jac(zeta, x),
+                problem.outer_grad(xi, u), problem.inner_jac(zeta, x_prev),
+            )
+            u = u_new
+        sum_sq += norm_sq(v)
+        return v, ada_lr(T, alpha, sum_sq), beta
+
+    return step
 
 
 def run_comp_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -> RunRecord:
@@ -226,52 +315,28 @@ def run_comp_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) 
     ceil(T**(1/3)) paired samples: the inner estimate over all inner values
     first, then the gradient over the per-sample Jacobian/outer products.
     """
-    x, root, tau = _start(problem, T, seed, x0)
-    trace = _Trace(T, problem.dim, keep_iterates)
-    inner_rng = root.child("inner")
-    outer_rng = root.child("outer")
-    init_inner = root.child("init_inner")
-    init_outer = root.child("init_outer")
-    beta = ada_beta(T)
+    return _run("comp_storm", problem, T, seed, x0, keep_iterates, _comp_storm_steps, alpha=alpha)
 
-    batch = warmup_batch_size(T)
-    inner_tokens = [problem.draw_inner(init_inner) for _ in range(batch)]
-    outer_tokens = [problem.draw_outer(init_outer) for _ in range(batch)]
-    u = np.mean([problem.inner_value(tok, x) for tok in inner_tokens], axis=0)
-    v = np.mean(
-        [
-            problem.inner_jac(zt, x).T @ problem.outer_grad(xt, u)
-            for zt, xt in zip(inner_tokens, outer_tokens)
-        ],
-        axis=0,
-    )
 
+def _fs_storm_steps(problem, T, x, root, alpha):
+    index_gen = root.child("component").generator
+    n = problem.n
+    beta = finite_sum_beta(n)
+    table = GradientTable.from_full_pass(problem, x)
+    v = table.mean.copy()
     sum_sq = 0.0
-    x_prev = x
-    for t in range(1, T + 1):
+
+    def step(t, x, x_prev):
+        nonlocal v, table, sum_sq
         if t > 1:
-            zeta = problem.draw_inner(inner_rng)
-            xi = problem.draw_outer(outer_rng)
-            u_new = comp_inner_update(
-                u, beta, problem.inner_value(zeta, x), problem.inner_value(zeta, x_prev)
+            i = int(index_gen.integers(n))
+            v, table = finite_sum_update(
+                v, table, beta, i, problem.component_grad(i, x), problem.component_grad(i, x_prev)
             )
-            v = comp_grad_update(
-                v,
-                beta,
-                problem.outer_grad(xi, u_new),
-                problem.inner_jac(zeta, x),
-                problem.outer_grad(xi, u),
-                problem.inner_jac(zeta, x_prev),
-            )
-            u = u_new
         sum_sq += norm_sq(v)
-        eta = ada_lr(T, alpha, sum_sq)
-        f_val, g_true = problem.value_and_grad(x)
-        trace.row(t, x, f_val, g_true, v, eta, beta, tau)
-        x_prev = x
-        x = x - eta * v
-    cfg = _echo(problem, T, seed, {"name": "comp_storm", "alpha": float(alpha)})
-    return trace.finish(T, x, tau, cfg)
+        return v, finite_sum_lr(n, alpha, sum_sq), beta
+
+    return step
 
 
 def run_fs_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -> RunRecord:
@@ -282,34 +347,33 @@ def run_fs_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) ->
     uniformly, applies the two-point recursion with the table correction,
     and overwrites that component's entry. beta = 1/n throughout.
     """
-    x, root, tau = _start(problem, T, seed, x0)
-    trace = _Trace(T, problem.dim, keep_iterates)
+    return _run("fs_storm", problem, T, seed, x0, keep_iterates, _fs_storm_steps, alpha=alpha)
+
+
+def _fs_storm_svrg_steps(problem, T, x, root, alpha, period, eta_const=None):
     index_gen = root.child("component").generator
     n = problem.n
     beta = finite_sum_beta(n)
-    table = GradientTable.from_full_pass(problem, x)
-    v = table.mean.copy()
+    snapshot = take_snapshot(problem, x, period)
+    v = snapshot.full_grad.copy()
     sum_sq = 0.0
-    x_prev = x
-    for t in range(1, T + 1):
+
+    def step(t, x, x_prev):
+        nonlocal v, snapshot, sum_sq
         if t > 1:
+            if t % period == 0:
+                snapshot = take_snapshot(problem, x, period)
             i = int(index_gen.integers(n))
-            v, table = finite_sum_update(
-                v,
-                table,
-                beta,
-                i,
-                problem.component_grad(i, x),
-                problem.component_grad(i, x_prev),
+            v = svrg_update(
+                v, snapshot, beta, problem.component_grad(i, x),
+                problem.component_grad(i, x_prev), problem.component_grad(i, snapshot.x),
             )
+            snapshot = snapshot.aged()
         sum_sq += norm_sq(v)
-        eta = finite_sum_lr(n, alpha, sum_sq)
-        f_val, g_true = problem.value_and_grad(x)
-        trace.row(t, x, f_val, g_true, v, eta, beta, tau)
-        x_prev = x
-        x = x - eta * v
-    cfg = _echo(problem, T, seed, {"name": "fs_storm", "alpha": float(alpha)})
-    return trace.finish(T, x, tau, cfg)
+        eta = finite_sum_lr(n, alpha, sum_sq) if eta_const is None else float(eta_const)
+        return v, eta, beta
+
+    return step
 
 
 def run_fs_storm_svrg(
@@ -322,48 +386,20 @@ def run_fs_storm_svrg(
     gradient; the snapshot is refreshed every `period` steps (default n).
     eta follows the adaptive finite-sum law unless eta_const pins it.
     """
-    x, root, tau = _start(problem, T, seed, x0)
-    if period is None:
-        period = problem.n
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    if eta_const is not None and eta_const <= 0:
-        raise ValueError(f"eta_const must be positive, got {eta_const}")
-    trace = _Trace(T, problem.dim, keep_iterates)
-    index_gen = root.child("component").generator
-    n = problem.n
-    beta = finite_sum_beta(n)
-    snapshot = take_snapshot(problem, x, period)
-    v = snapshot.full_grad.copy()
-    sum_sq = 0.0
-    x_prev = x
-    for t in range(1, T + 1):
-        if t > 1:
-            if t % period == 0:
-                snapshot = take_snapshot(problem, x, period)
-            i = int(index_gen.integers(n))
-            v = svrg_update(
-                v,
-                snapshot,
-                beta,
-                problem.component_grad(i, x),
-                problem.component_grad(i, x_prev),
-                problem.component_grad(i, snapshot.x),
-            )
-            snapshot = snapshot.aged()
-        sum_sq += norm_sq(v)
-        if eta_const is None:
-            eta = finite_sum_lr(n, alpha, sum_sq)
-        else:
-            eta = float(eta_const)
-        f_val, g_true = problem.value_and_grad(x)
-        trace.row(t, x, f_val, g_true, v, eta, beta, tau)
-        x_prev = x
-        x = x - eta * v
-    algo = {"name": "fs_storm_svrg", "alpha": float(alpha), "period": int(period)}
-    if eta_const is not None:
-        algo["eta_const"] = float(eta_const)
-    return trace.finish(T, x, tau, _echo(problem, T, seed, algo))
+    return _run(
+        "fs_storm_svrg", problem, T, seed, x0, keep_iterates, _fs_storm_svrg_steps,
+        alpha=alpha, period=problem.n if period is None else period, eta_const=eta_const,
+    )
+
+
+def _sgd_steps(problem, T, x, root, eta0, decay):
+    step_rng = root.child("step")
+
+    def step(t, x, x_prev):
+        g = problem.grad_at(problem.draw(step_rng), x)
+        return g, eta0 / math.sqrt(1.0 + decay * t), 0.0
+
+    return step
 
 
 def run_sgd(problem, T, eta0=0.1, decay=0.0, seed=0, x0=None, keep_iterates=False) -> RunRecord:
@@ -372,24 +408,30 @@ def run_sgd(problem, T, eta0=0.1, decay=0.0, seed=0, x0=None, keep_iterates=Fals
     The trace's v columns describe the raw sampled gradient, so est_error
     measures single-sample noise. The beta column is 0: no momentum.
     """
-    if eta0 <= 0:
-        raise ValueError(f"eta0 must be positive, got {eta0}")
-    if decay < 0:
-        raise ValueError(f"decay must be nonnegative, got {decay}")
-    x, root, tau = _start(problem, T, seed, x0)
-    trace = _Trace(T, problem.dim, keep_iterates)
+    return _run("sgd", problem, T, seed, x0, keep_iterates, _sgd_steps, eta0=eta0, decay=decay)
+
+
+def _storm_original_steps(problem, T, x, root, k, w, c):
     step_rng = root.child("step")
-    for t in range(1, T + 1):
+    v = None
+    grad_sum = 0.0
+
+    def step(t, x, x_prev):
+        nonlocal v, grad_sum
         token = problem.draw(step_rng)
-        g = problem.grad_at(token, x)
-        eta = eta0 / math.sqrt(1.0 + decay * t)
-        f_val, g_true = problem.value_and_grad(x)
-        trace.row(t, x, f_val, g_true, g, eta, 0.0, tau)
-        x = x - eta * g
-    cfg = _echo(
-        problem, T, seed, {"name": "sgd", "eta0": float(eta0), "decay": float(decay)}
-    )
-    return trace.finish(T, x, tau, cfg)
+        g_new = problem.grad_at(token, x)
+        grad_sum += norm_sq(g_new)
+        eta, beta = storm_original_params(k, w, c, grad_sum)
+        if t == 1:
+            v = g_new
+        else:
+            # c * eta**2 can underflow to 0; the smallest positive beta gives
+            # the same v, since 1 - beta rounds to 1.
+            g_old = problem.grad_at(token, x_prev)
+            v = storm_update(v, beta or math.ulp(0.0), g_new, g_old)
+        return v, eta, beta
+
+    return step
 
 
 def run_storm_original(
@@ -401,32 +443,10 @@ def run_storm_original(
     beta_t = c * eta_t**2, so the momentum weight follows the step size
     instead of the horizon. The first step uses the raw sample.
     """
-    x, root, tau = _start(problem, T, seed, x0)
-    trace = _Trace(T, problem.dim, keep_iterates)
-    step_rng = root.child("step")
-    grad_sum = 0.0
-    v = None
-    x_prev = x
-    for t in range(1, T + 1):
-        token = problem.draw(step_rng)
-        g_new = problem.grad_at(token, x)
-        grad_sum += norm_sq(g_new)
-        eta, beta = storm_original_params(k, w, c, grad_sum)
-        if t == 1:
-            v = g_new
-        else:
-            v = storm_update(v, beta, g_new, problem.grad_at(token, x_prev))
-        f_val, g_true = problem.value_and_grad(x)
-        trace.row(t, x, f_val, g_true, v, eta, beta, tau)
-        x_prev = x
-        x = x - eta * v
-    cfg = _echo(
-        problem,
-        T,
-        seed,
-        {"name": "storm_original", "k": float(k), "w": float(w), "c": float(c)},
+    return _run(
+        "storm_original", problem, T, seed, x0, keep_iterates, _storm_original_steps,
+        k=k, w=w, c=c,
     )
-    return trace.finish(T, x, tau, cfg)
 
 
 # name -> (runner, problem families it accepts)
@@ -448,11 +468,11 @@ ALGORITHMS = {
 
 
 def run_algorithm(name: str, problem, T: int, seed: int, **params) -> RunRecord:
-    """Dispatch one run by algorithm name; params go to the run function."""
-    if name not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm '{name}', expected one of {sorted(ALGORITHMS)}")
-    runner, families = ALGORITHMS[name]
-    family = problem.spec.get("name")
-    if family not in families:
-        raise ValueError(f"algorithm '{name}' does not accept problem family '{family}'")
+    """Dispatch one run by algorithm name; params go to the run function.
+
+    The run is checked before dispatch, so a wrong name or family fails the
+    same way as it does in a config."""
+    tunable = {key: value for key, value in params.items() if key not in _RUN_ARGS}
+    check_run(name, problem.spec.get("name"), tunable)
+    runner, _ = ALGORITHMS[name]
     return runner(problem, T, seed=seed, **params)

@@ -362,3 +362,38 @@ def test_cli_slopes_missing_file(tmp_path, capsys):
     code = cli_main(["slopes", str(tmp_path / "absent.json")])
     assert code == 2
     assert "could not read" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp_path):
+    for flag in ("--thin", "--jobs"):
+        out_dir = tmp_path / f"out{flag}"
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", str(tiny_config_file), "--out", str(out_dir), flag, "0"])
+        assert info.value.code == 2
+        assert not out_dir.exists()
+
+
+def test_diverging_cells_fail_and_summary_json_stays_strict(tmp_path):
+    doc = {
+        "problem": {"name": "noisy_quadratic", "dim": 20, "L": 10.0, "mu": 1.0,
+                    "sigma": 1.0, "seed": 11},
+        "algorithm": {"name": "sgd", "eta0": 5},
+        "grid": {"T": [500, 1000, 2000], "seeds": [1, 2]},
+    }
+    cfg = parse_config(doc)
+    result = run_grid(cfg)
+    assert not result.ok
+    assert len(result.failures) == 6
+    assert all(f["error"].startswith("DivergenceError: ") for f in result.failures)
+
+    def reject(token):
+        raise ValueError(f"bare {token} in summary.json")
+
+    write_outputs(result, cfg, tmp_path / "grid")
+    json.loads((tmp_path / "grid" / "summary.json").read_text(), parse_constant=reject)
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "cli"
+    assert cli_main(["run", str(cfg_path), "--out", str(out_dir)]) == 1
+    json.loads((out_dir / "summary.json").read_text(), parse_constant=reject)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from stormlab.numerics import RngStream, as_vector, axpy, gaussian, norm_sq
+from stormlab.numerics import RngStream, as_vector, gaussian, norm_sq
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -28,35 +28,6 @@ def test_norm_sq_matches_naive_accumulation():
 def test_norm_sq_is_self_dot(values):
     v = np.array(values)
     assert norm_sq(v) == pytest.approx(float(np.dot(v, v)), rel=1e-12, abs=1e-12)
-
-
-def test_axpy_hand_value():
-    out = axpy(2.0, [1.0, 2.0], [3.0, 4.0])
-    np.testing.assert_array_equal(out, [5.0, 8.0])
-
-
-def test_axpy_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        axpy(1.0, np.ones(3), np.ones(4))
-
-
-def test_axpy_does_not_mutate_inputs():
-    x = np.ones(4)
-    y = np.full(4, 2.0)
-    axpy(3.0, x, y)
-    np.testing.assert_array_equal(x, np.ones(4))
-    np.testing.assert_array_equal(y, np.full(4, 2.0))
-
-
-@given(
-    finite_floats,
-    st.lists(finite_floats, min_size=1, max_size=20),
-)
-@settings(max_examples=50)
-def test_axpy_matches_componentwise(a, values):
-    x = np.array(values)
-    y = np.arange(len(values), dtype=float)
-    np.testing.assert_allclose(axpy(a, x, y), a * x + y, rtol=1e-12, atol=1e-12)
 
 
 def test_as_vector_rejects_matrices_and_nonfinite():

@@ -1,9 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stormlab.harness import parse_config
 from stormlab.optimizers import (
+    ALGORITHMS,
+    DivergenceError,
     run_ada_storm,
     run_ada_storm_doubling,
     run_algorithm,
@@ -12,9 +18,11 @@ from stormlab.optimizers import (
     run_fs_storm_svrg,
     run_sgd,
     run_storm_original,
+    tunables,
     warmup_batch_size,
 )
 from stormlab.problems import (
+    from_spec,
     make_compositional,
     make_finite_sum,
     make_noisy_quadratic,
@@ -367,3 +375,111 @@ def test_run_algorithm_dispatch_and_validation(quad, comp):
         run_algorithm("ada_storm", comp, 10, seed=1)
     with pytest.raises(ValueError, match="does not accept"):
         run_algorithm("comp_storm", quad, 10, seed=1)
+
+
+# --- registry: one check for configs and direct runs ---------------------------
+
+REGISTRY_PROBLEMS = {
+    "noisy_quadratic": {"name": "noisy_quadratic", "dim": 4, "L": 5.0, "mu": 1.0,
+                        "sigma": 0.5, "seed": 3},
+    "compositional": {"name": "compositional", "dim": 4, "inner_dim": 3, "sigma": 0.5,
+                      "seed": 4},
+    "finite_sum": {"name": "finite_sum", "n": 6, "dim": 3, "seed": 5},
+}
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonpositive = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
+
+# (in range, out of range) for every tunable, stated apart from the library
+VALUES = {
+    "alpha": (
+        st.floats(min_value=0.0, max_value=1.0 / 3.0, exclude_min=True, exclude_max=True),
+        st.floats(max_value=0.0) | st.floats(min_value=1.0 / 3.0) | st.just(math.nan),
+    ),
+    "eta0": (_positive, _nonpositive),
+    "decay": (
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.floats(max_value=0.0, exclude_max=True) | st.sampled_from([math.nan, math.inf]),
+    ),
+    "k": (_positive, _nonpositive),
+    "w": (_positive, _nonpositive),
+    "c": (_positive, _nonpositive),
+    "period": (
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(max_value=0) | st.sampled_from([1.5, 2.5, math.nan]),
+    ),
+    "eta_const": (_positive, _nonpositive),
+}
+
+REGISTRY_PAIRS = [(name, key) for name in sorted(ALGORITHMS) for key in tunables(name)]
+
+
+def _outcome(fn):
+    """("ok", result) when fn passes entry checks, ("rejected", message) if not."""
+    try:
+        return "ok", fn()
+    except DivergenceError as exc:  # accepted, then the iterates blew up
+        return "ok", str(exc)
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+def test_registry_covers_every_tunable():
+    assert {key for _, key in REGISTRY_PAIRS} == set(VALUES)
+    assert tunables("fs_storm_svrg") == {"alpha": 0.3, "period": None, "eta_const": None}
+
+
+@pytest.mark.parametrize("name,key", REGISTRY_PAIRS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_parse_config_accepts_exactly_what_the_runner_accepts(name, key, data):
+    in_range = data.draw(st.booleans(), label="in_range")
+    value = data.draw(VALUES[key][0 if in_range else 1], label=key)
+    spec = REGISTRY_PROBLEMS[min(ALGORITHMS[name][1])]
+    doc = {"problem": spec, "algorithm": {"name": name, key: value},
+           "grid": {"T": 30, "seeds": 1}}
+    parsed, parse_detail = _outcome(lambda: parse_config(doc))
+    problem = from_spec(spec)
+
+    def run():
+        return run_algorithm(name, problem, 30, 1, **{key: value})
+
+    ran, run_detail = _outcome(run)
+    expected = "ok" if in_range else "rejected"
+    assert parsed == ran == expected, (parse_detail, run_detail)
+    if expected == "rejected":
+        assert parse_detail == run_detail
+        assert re.search(rf"\b{key}\b", run_detail)
+        return
+    again = _outcome(run)[1]
+    if isinstance(run_detail, str):
+        assert again == run_detail
+    else:
+        _assert_records_equal(run_detail, again)
+
+
+def test_storm_original_rejects_c_zero_before_any_draw(quad):
+    class NoDraws:
+        spec, x0, dim = quad.spec, quad.x0, quad.dim
+
+        def draw(self, rng):
+            raise AssertionError("drew a sample before rejecting c")
+
+    for call in (
+        lambda: run_storm_original(NoDraws(), 10, c=0),
+        lambda: run_algorithm("storm_original", NoDraws(), 10, 1, c=0.0),
+    ):
+        with pytest.raises(ValueError, match=r"\bc must be > 0"):
+            call()
+
+
+def test_diverging_run_stops_with_divergence_error():
+    quad6 = make_noisy_quadratic(dim=20, L=10.0, mu=1.0, sigma=1.0, seed=11)
+    for T in (500, 1000, 2000):
+        with pytest.raises(DivergenceError) as info:
+            run_sgd(quad6, T, eta0=5.0, seed=1)
+        err = info.value
+        assert err.quantity in ("f", "v_norm_sq", "eta")
+        assert 1 < err.t <= T
+        assert not math.isfinite(err.value)
+        assert f"t={err.t}" in str(err) and err.quantity in str(err)
