@@ -8,7 +8,6 @@ import argparse
 import sys
 
 from .harness import (
-    fit_slopes,
     load_config,
     load_summary,
     run_grid,
@@ -62,13 +61,10 @@ def _cmd_check(_args) -> int:
 
 def _cmd_slopes(args) -> int:
     try:
-        rows, slopes, failures = load_summary(args.summary)
+        _, slopes, _ = load_summary(args.summary)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"slopes: could not read '{args.summary}': {exc}", file=sys.stderr)
         return 2
-    if not slopes:
-        # Older or minimal summaries: refit from the rows when possible.
-        slopes = fit_slopes(sorted(rows, key=lambda r: (r.algorithm, r.problem)))
     if not slopes:
         print("no slope fits available (need >= 3 horizons per algorithm)")
         return 0

@@ -5,13 +5,16 @@ returns a new state; nothing here draws randomness or mutates its inputs.
 That keeps the transitions enumerable (exact conditional expectations can
 be computed by brute force over the sampling choices) and replayable.
 
-The core recursion, shared by all variants, is
+`storm_update` is the one recursion every variant runs:
 
     v_new = (1 - beta) * v_prev + beta * grad_new
             + (1 - beta) * (grad_new - grad_old)
 
 where grad_new and grad_old come from the SAME sample evaluated at the new
-and previous iterate. beta = 1 drops all history and returns grad_new.
+and previous iterate. beta = 1 drops all history and returns grad_new. The
+compositional updates run it on inner values and on Jacobian/outer-gradient
+products; the finite-sum updates subtract beta times a zero-mean control
+variate from it.
 """
 
 from __future__ import annotations
@@ -67,28 +70,21 @@ def storm_update(v_prev, beta: float, grad_new, grad_old) -> Vector:
 def comp_inner_update(u_prev, beta: float, value_new, value_old) -> Vector:
     """Track the inner map's value through the same two-point recursion.
 
-    u_new = (1 - beta) * u_prev + value_new - (1 - beta) * value_old, with
-    both values drawn under one shared inner sample.
+    u_new = storm_update(u_prev, beta, value_new, value_old), with both
+    values drawn under one shared inner sample.
     """
-    _check_beta(beta)
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    value_new = np.asarray(value_new, dtype=np.float64)
-    value_old = np.asarray(value_old, dtype=np.float64)
-    _check_same_shape(u_prev, value_new, value_old)
-    return value_new + (1.0 - beta) * (u_prev - value_old)
+    return storm_update(u_prev, beta, value_new, value_old)
 
 
 def comp_grad_update(v_prev, beta: float, outer_new, jac_new, outer_old, jac_old) -> Vector:
     """Composite-gradient recursion from paired Jacobian/outer-grad samples.
 
-    v_new = (1 - beta) * v_prev + jac_new' outer_new
-            - (1 - beta) * jac_old' outer_old
+    v_new = storm_update(v_prev, beta, jac_new' outer_new,
+                         jac_old' outer_old)
 
     The two outer gradients share one outer sample and the two Jacobians
     share one inner sample; only the evaluation points differ.
     """
-    _check_beta(beta)
-    v_prev = np.asarray(v_prev, dtype=np.float64)
     jac_new = np.asarray(jac_new, dtype=np.float64)
     jac_old = np.asarray(jac_old, dtype=np.float64)
     outer_new = np.asarray(outer_new, dtype=np.float64)
@@ -100,10 +96,7 @@ def comp_grad_update(v_prev, beta: float, outer_new, jac_new, outer_old, jac_old
             f"Jacobian shape {jac_new.shape} does not match outer gradient "
             f"length {outer_new.shape[0]}"
         )
-    term_new = jac_new.T @ outer_new
-    term_old = jac_old.T @ outer_old
-    _check_same_shape(v_prev, term_new)
-    return term_new + (1.0 - beta) * (v_prev - term_old)
+    return storm_update(v_prev, beta, jac_new.T @ outer_new, jac_old.T @ outer_old)
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ def finite_sum_update(
 ) -> tuple[Vector, GradientTable]:
     """Finite-sum recursion with a component-gradient memory correction.
 
-    v_new = (1 - beta) * v_prev + grad_new - (1 - beta) * grad_old
+    v_new = storm_update(v_prev, beta, grad_new, grad_old)
             - beta * (table[i] - mean(table))
 
     evaluated with the table as it stood BEFORE this step; the returned
@@ -162,17 +155,9 @@ def finite_sum_update(
     under a uniform component choice, so conditional unbiasedness of the
     recursion is preserved.
     """
-    _check_beta(beta)
-    v_prev = np.asarray(v_prev, dtype=np.float64)
-    grad_new = np.asarray(grad_new, dtype=np.float64)
-    grad_old = np.asarray(grad_old, dtype=np.float64)
-    _check_same_shape(v_prev, grad_new, grad_old, table.mean)
-    v_new = (
-        grad_new
-        + (1.0 - beta) * (v_prev - grad_old)
-        - beta * (table.entries[i] - table.mean)
-    )
-    return v_new, table.updated(i, grad_new)
+    v_new = storm_update(v_prev, beta, grad_new, grad_old)
+    _check_same_shape(v_new, table.mean)
+    return v_new - beta * (table.entries[i] - table.mean), table.updated(i, grad_new)
 
 
 class StaleSnapshotError(RuntimeError):
@@ -205,25 +190,18 @@ def svrg_update(
 ) -> Vector:
     """Anchored variant of the finite-sum recursion.
 
-    v_new = (1 - beta) * v_prev + grad_new - (1 - beta) * grad_old
+    v_new = storm_update(v_prev, beta, grad_new, grad_old)
             - beta * (grad_anchor - full_grad(anchor))
 
     where grad_anchor is the sampled component's gradient at the snapshot
     point. Raises StaleSnapshotError when the snapshot has been used for a
     full period without a refresh.
     """
-    _check_beta(beta)
+    v_new = storm_update(v_prev, beta, grad_new, grad_old)
     if snapshot.age >= snapshot.period:
         raise StaleSnapshotError(
             f"snapshot age {snapshot.age} reached its period {snapshot.period}"
         )
-    v_prev = np.asarray(v_prev, dtype=np.float64)
-    grad_new = np.asarray(grad_new, dtype=np.float64)
-    grad_old = np.asarray(grad_old, dtype=np.float64)
     grad_anchor = np.asarray(grad_anchor, dtype=np.float64)
-    _check_same_shape(v_prev, grad_new, grad_old, grad_anchor, snapshot.full_grad)
-    return (
-        grad_new
-        + (1.0 - beta) * (v_prev - grad_old)
-        - beta * (grad_anchor - snapshot.full_grad)
-    )
+    _check_same_shape(v_new, grad_anchor, snapshot.full_grad)
+    return v_new - beta * (grad_anchor - snapshot.full_grad)

@@ -9,10 +9,11 @@ round-trips float64 losslessly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -24,9 +25,17 @@ from .optimizers import RunRecord, check_run, run_algorithm
 TRACE_HEADER = "t,f,grad_norm,v_norm_sq,eta,beta,est_error"
 
 
-def _fmt(x) -> str:
-    """17-significant-digit float formatting for CSV cells."""
-    return f"{float(x):.17g}"
+def _write_csv(path, columns: dict, thin: int = 1):
+    """Write equal-length columns (name -> values) as CSV, keeping every
+    `thin`-th row: floats with 17 significant digits, everything else bare."""
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)[::thin]
+        fmt = "{:.17g}".format if values.dtype.kind == "f" else str
+        cells.append(map(fmt, values.tolist()))
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -197,18 +206,9 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cells = [
-        (algo["label"], T, seed)
-        for algo in config.algorithms
-        for T in config.T_grid
-        for seed in config.seeds
-    ]
-    payloads = [
-        (config.problem, algo, T, seed)
-        for algo in config.algorithms
-        for T in config.T_grid
-        for seed in config.seeds
-    ]
+    grid = list(itertools.product(config.algorithms, config.T_grid, config.seeds))
+    cells = [(algo["label"], T, seed) for algo, T, seed in grid]
+    payloads = [(config.problem, *cell) for cell in grid]
     if jobs == 1:
         outcomes = [_run_cell_safe(p) for p in payloads]
     else:
@@ -225,17 +225,12 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
             result.records.append(None)
             result.failures.append({"cell": _cell_name(cell, config), "error": value})
 
-    problem_name = config.problem["name"]
-    for algo in config.algorithms:
-        label = algo["label"]
-        for T in config.T_grid:
-            group = by_group.get((label, T))
-            if not group:
-                continue
-            stats = summarize(group)
-            result.rows.append(
-                SummaryRow(algorithm=label, problem=problem_name, T=T, **stats)
-            )
+    # Groups appear in grid order; one without a finished cell never appears.
+    for (label, T), group in by_group.items():
+        stats = summarize(group)
+        result.rows.append(
+            SummaryRow(algorithm=label, problem=config.problem["name"], T=T, **stats)
+        )
     result.slopes = fit_slopes(result.rows)
     return result
 
@@ -275,17 +270,7 @@ def write_trace_csv(record: RunRecord, path, thin: int = 1):
     """One CSV per run; rows with (t - 1) % thin == 0 are retained."""
     if thin < 1:
         raise ValueError(f"thin must be >= 1, got {thin}")
-    cols = record.columns()
-    lines = [TRACE_HEADER]
-    t_arr = cols["t"]
-    for i in range(0, t_arr.shape[0], thin):
-        lines.append(
-            f"{int(t_arr[i])},{_fmt(cols['f'][i])},{_fmt(cols['grad_norm'][i])},"
-            f"{_fmt(cols['v_norm_sq'][i])},{_fmt(cols['eta'][i])},"
-            f"{_fmt(cols['beta'][i])},{_fmt(cols['est_error'][i])}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, record.columns(), thin)
 
 
 def write_outputs(result: GridResult, config: ExperimentConfig, out_dir, thin=None):
@@ -305,21 +290,9 @@ def write_outputs(result: GridResult, config: ExperimentConfig, out_dir, thin=No
         write_trace_csv(record, path, thin=thin)
         paths.append(path)
 
-    fields = [f for f in SummaryRow.__dataclass_fields__]
-    lines = [",".join(fields)]
-    for row in result.rows:
-        d = asdict(row)
-        cells = []
-        for f in fields:
-            value = d[f]
-            if isinstance(value, float):
-                cells.append(_fmt(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    names = [f.name for f in fields(SummaryRow)]
     summary_csv = os.path.join(out_dir, "summary.csv")
-    with open(summary_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(summary_csv, {name: [getattr(r, name) for r in result.rows] for name in names})
     paths.append(summary_csv)
 
     doc = {
@@ -334,10 +307,7 @@ def write_outputs(result: GridResult, config: ExperimentConfig, out_dir, thin=No
         fh.write("\n")
     paths.append(summary_json)
 
-    plot_header = (
-        "T,avg_grad_norm,avg_grad_norm_stderr,tau_grad_norm,tau_grad_norm_stderr,"
-        "final_quarter_grad_norm,final_quarter_grad_norm_stderr"
-    )
+    plot_names = [name for name in names if name not in ("algorithm", "problem", "n_seeds")]
     for algo in config.algorithms:
         label = algo["label"]
         rows = sorted(
@@ -345,16 +315,8 @@ def write_outputs(result: GridResult, config: ExperimentConfig, out_dir, thin=No
         )
         if not rows:
             continue
-        lines = [plot_header]
-        for r in rows:
-            lines.append(
-                f"{r.T},{_fmt(r.avg_grad_norm)},{_fmt(r.avg_grad_norm_stderr)},"
-                f"{_fmt(r.tau_grad_norm)},{_fmt(r.tau_grad_norm_stderr)},"
-                f"{_fmt(r.final_quarter_grad_norm)},{_fmt(r.final_quarter_grad_norm_stderr)}"
-            )
         path = os.path.join(out_dir, f"plot__{label}__{config.problem['name']}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, {name: [getattr(r, name) for r in rows] for name in plot_names})
         paths.append(path)
     return paths
 

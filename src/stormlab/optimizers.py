@@ -2,9 +2,9 @@
 
 Every algorithm runs through one loop (`_run`). An algorithm supplies only
 its set-up and its per-step rule, which returns the gradient estimate v,
-the step size eta and the momentum weight beta. The loop derives labeled
-random streams from the seed, records the trace row AT the current iterate,
-then moves to x - eta * v. Recorded columns:
+its squared norm, the step size eta and the momentum weight beta. The loop
+derives labeled random streams from the seed, records the trace row AT the
+current iterate, then moves to x - eta * v. Recorded columns:
 
     t, f, grad_norm, v_norm_sq, eta, beta, est_error
 
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import problems
 from .estimators import (
     GradientTable,
     comp_grad_update,
@@ -163,8 +164,8 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
     """The one run loop behind every runner.
 
     `steps(problem, T, x0, root, **params)` sets the algorithm up at the
-    starting point and returns its rule `step(t, x, x_prev) -> (v, eta,
-    beta)`. The loop owns the rest: the entry checks, the tau draw, the
+    starting point and returns its rule `step(t, x, x_prev) -> (v, |v|^2,
+    eta, beta)`. The loop owns the rest: the entry checks, the tau draw, the
     exact-gradient measurement and trace row at x, the move, the stop on a
     non-finite value and the config echo.
     """
@@ -191,8 +192,7 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
             f_val, g_true = problem.value_and_grad(x)
             if not isfinite(f_val):
                 raise DivergenceError(t, "f", f_val)
-            v, eta, beta = step(t, x, x_prev)
-            v_sq = v @ v
+            v, v_sq, eta, beta = step(t, x, x_prev)
             if not isfinite(v_sq):
                 raise DivergenceError(t, "v_norm_sq", v_sq)
             if not isfinite(eta):
@@ -240,8 +240,9 @@ def _ada_storm_steps(problem, T, x, root, alpha, doubling=False):
         else:
             token = problem.draw(step_rng)
             v = storm_update(v, beta, problem.grad_at(token, x), problem.grad_at(token, x_prev))
-        sum_sq += norm_sq(v)
-        return v, ada_lr(horizon, alpha, sum_sq), beta
+        v_sq = norm_sq(v)
+        sum_sq += v_sq
+        return v, v_sq, ada_lr(horizon, alpha, sum_sq), beta
 
     return step
 
@@ -300,8 +301,9 @@ def _comp_storm_steps(problem, T, x, root, alpha):
                 problem.outer_grad(xi, u), problem.inner_jac(zeta, x_prev),
             )
             u = u_new
-        sum_sq += norm_sq(v)
-        return v, ada_lr(T, alpha, sum_sq), beta
+        v_sq = norm_sq(v)
+        sum_sq += v_sq
+        return v, v_sq, ada_lr(T, alpha, sum_sq), beta
 
     return step
 
@@ -333,8 +335,9 @@ def _fs_storm_steps(problem, T, x, root, alpha):
             v, table = finite_sum_update(
                 v, table, beta, i, problem.component_grad(i, x), problem.component_grad(i, x_prev)
             )
-        sum_sq += norm_sq(v)
-        return v, finite_sum_lr(n, alpha, sum_sq), beta
+        v_sq = norm_sq(v)
+        sum_sq += v_sq
+        return v, v_sq, finite_sum_lr(n, alpha, sum_sq), beta
 
     return step
 
@@ -369,9 +372,10 @@ def _fs_storm_svrg_steps(problem, T, x, root, alpha, period, eta_const=None):
                 problem.component_grad(i, x_prev), problem.component_grad(i, snapshot.x),
             )
             snapshot = snapshot.aged()
-        sum_sq += norm_sq(v)
+        v_sq = norm_sq(v)
+        sum_sq += v_sq
         eta = finite_sum_lr(n, alpha, sum_sq) if eta_const is None else float(eta_const)
-        return v, eta, beta
+        return v, v_sq, eta, beta
 
     return step
 
@@ -397,7 +401,7 @@ def _sgd_steps(problem, T, x, root, eta0, decay):
 
     def step(t, x, x_prev):
         g = problem.grad_at(problem.draw(step_rng), x)
-        return g, eta0 / math.sqrt(1.0 + decay * t), 0.0
+        return g, norm_sq(g), eta0 / math.sqrt(1.0 + decay * t), 0.0
 
     return step
 
@@ -429,7 +433,7 @@ def _storm_original_steps(problem, T, x, root, k, w, c):
             # the same v, since 1 - beta rounds to 1.
             g_old = problem.grad_at(token, x_prev)
             v = storm_update(v, beta or math.ulp(0.0), g_new, g_old)
-        return v, eta, beta
+        return v, norm_sq(v), eta, beta
 
     return step
 
@@ -449,21 +453,20 @@ def run_storm_original(
     )
 
 
+# Families served by a sampled-gradient oracle (`draw`/`grad_at`).
+SAMPLED_FAMILIES = frozenset(
+    name for name, cls in problems.FAMILIES.items() if issubclass(cls, problems.StochasticProblem)
+)
+
 # name -> (runner, problem families it accepts)
 ALGORITHMS = {
-    "ada_storm": (run_ada_storm, {"noisy_quadratic", "nonconvex_smooth", "finite_sum"}),
-    "ada_storm_doubling": (
-        run_ada_storm_doubling,
-        {"noisy_quadratic", "nonconvex_smooth", "finite_sum"},
-    ),
+    "ada_storm": (run_ada_storm, SAMPLED_FAMILIES),
+    "ada_storm_doubling": (run_ada_storm_doubling, SAMPLED_FAMILIES),
     "comp_storm": (run_comp_storm, {"compositional"}),
     "fs_storm": (run_fs_storm, {"finite_sum"}),
     "fs_storm_svrg": (run_fs_storm_svrg, {"finite_sum"}),
-    "sgd": (run_sgd, {"noisy_quadratic", "nonconvex_smooth", "finite_sum"}),
-    "storm_original": (
-        run_storm_original,
-        {"noisy_quadratic", "nonconvex_smooth", "finite_sum"},
-    ),
+    "sgd": (run_sgd, SAMPLED_FAMILIES),
+    "storm_original": (run_storm_original, SAMPLED_FAMILIES),
 }
 
 

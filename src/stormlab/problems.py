@@ -20,6 +20,7 @@ central finite differences.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .numerics import RngStream, Vector, as_vector, gaussian
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
+OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
 
 
 @dataclass(frozen=True)
@@ -195,18 +197,16 @@ class FiniteSumProblem(StochasticProblem):
     component gradients.
     """
 
-    def __init__(self, n, dim, seed, outlier_frac=0.1):
+    def __init__(self, n, dim, seed):
         if n < 1 or dim < 1:
             raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
-        if not 0 <= outlier_frac <= 1:
-            raise ValueError(f"outlier_frac must be in [0, 1], got {outlier_frac}")
         root = RngStream(seed).child("finite_sum")
         gen = root.child("data").generator
         self.features = gen.standard_normal((n, dim)) / np.sqrt(dim)
         x_true = gen.standard_normal(dim)
         targets = self.features @ x_true + 0.1 * gen.standard_normal(n)
         # A slice of grossly corrupted targets keeps the landscape nonconvex.
-        n_out = int(round(outlier_frac * n))
+        n_out = int(round(OUTLIER_FRAC * n))
         if n_out:
             idx = gen.choice(n, size=n_out, replace=False)
             targets[idx] += 10.0 * gen.standard_normal(n_out)
@@ -351,36 +351,20 @@ class CompositionalProblem:
         return self.inner_jac(inner_token, x).T @ self.outer_grad(outer_token, u)
 
 
-def make_noisy_quadratic(dim, L, mu, sigma, seed) -> NoisyQuadratic:
-    return NoisyQuadratic(dim, L, mu, sigma, seed)
-
-
-def make_nonconvex_smooth(dim, sigma, seed, coeffs=None, epsilon=1e-2) -> NonconvexSmooth:
-    return NonconvexSmooth(dim, sigma, seed, coeffs=coeffs, epsilon=epsilon)
-
-
-def make_finite_sum(n, dim, seed, outlier_frac=0.1) -> FiniteSumProblem:
-    return FiniteSumProblem(n, dim, seed, outlier_frac=outlier_frac)
-
-
-def make_compositional(dim, inner_dim, sigma, seed, matrix=None, offset=None) -> CompositionalProblem:
-    return CompositionalProblem(dim, inner_dim, sigma, seed, matrix=matrix, offset=offset)
-
-
-# Canonical constructor arguments per family, used for config validation.
-PROBLEM_FIELDS = {
-    "noisy_quadratic": {"dim", "L", "mu", "sigma", "seed"},
-    "nonconvex_smooth": {"dim", "sigma", "seed"},
-    "finite_sum": {"n", "dim", "seed"},
-    "compositional": {"dim", "inner_dim", "sigma", "seed"},
+# Problem family name -> class; a config's fields are the class's required
+# constructor arguments.
+FAMILIES = {
+    "noisy_quadratic": NoisyQuadratic,
+    "nonconvex_smooth": NonconvexSmooth,
+    "finite_sum": FiniteSumProblem,
+    "compositional": CompositionalProblem,
 }
 
-_FACTORIES = {
-    "noisy_quadratic": make_noisy_quadratic,
-    "nonconvex_smooth": make_nonconvex_smooth,
-    "finite_sum": make_finite_sum,
-    "compositional": make_compositional,
-}
+# The factory names are the classes themselves.
+make_noisy_quadratic = NoisyQuadratic
+make_nonconvex_smooth = NonconvexSmooth
+make_finite_sum = FiniteSumProblem
+make_compositional = CompositionalProblem
 
 
 def from_spec(spec: dict):
@@ -392,19 +376,23 @@ def from_spec(spec: dict):
     if "name" not in spec:
         raise ValueError("problem spec needs a 'name' field")
     name = spec["name"]
-    if name not in _FACTORIES:
+    if name not in FAMILIES:
         raise ValueError(
-            f"unknown problem '{name}', expected one of {sorted(_FACTORIES)}"
+            f"unknown problem '{name}', expected one of {sorted(FAMILIES)}"
         )
     fields = {k: v for k, v in spec.items() if k != "name"}
-    allowed = PROBLEM_FIELDS[name]
+    allowed = {
+        p.name
+        for p in inspect.signature(FAMILIES[name]).parameters.values()
+        if p.default is p.empty
+    }
     unknown = set(fields) - allowed
     if unknown:
         raise ValueError(f"unknown fields for problem '{name}': {sorted(unknown)}")
     missing = allowed - set(fields)
     if missing:
         raise ValueError(f"missing fields for problem '{name}': {sorted(missing)}")
-    return _FACTORIES[name](**fields)
+    return FAMILIES[name](**fields)
 
 
 def grad_check(problem, x, h=1e-5) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from stormlab.estimators import (
     GradientTable,
+    Snapshot,
     StaleSnapshotError,
     comp_grad_update,
     comp_inner_update,
@@ -140,6 +141,31 @@ def test_comp_grad_update_shape_validation():
     with pytest.raises(ValueError, match="Jacobian"):
         comp_grad_update(np.zeros(2), 0.5, np.zeros(3), np.zeros((2, 2)),
                          np.zeros(3), np.zeros((2, 2)))
+
+
+def test_every_update_checks_beta_and_its_own_shapes():
+    v, g, jac = np.zeros(2), np.ones(2), np.eye(2)
+    table = GradientTable(np.zeros((3, 2)), np.zeros(2))
+    snapshot = Snapshot(np.zeros(2), np.zeros(2), 0, 5)
+    updates = [
+        lambda beta: comp_inner_update(v, beta, g, g),
+        lambda beta: comp_grad_update(v, beta, g, jac, g, jac),
+        lambda beta: finite_sum_update(v, table, beta, 0, g, g),
+        lambda beta: svrg_update(v, snapshot, beta, g, g, g),
+    ]
+    for update in updates:
+        update(0.5)
+        for beta in (0.0, 1.5):
+            with pytest.raises(ValueError, match="beta"):
+                update(beta)
+    with pytest.raises(ValueError, match="shape"):
+        comp_inner_update(v, 0.5, np.ones(3), g)
+    with pytest.raises(ValueError, match="shape"):
+        finite_sum_update(v, GradientTable(np.zeros((3, 3)), np.zeros(3)), 0.5, 0, g, g)
+    with pytest.raises(ValueError, match="shape"):
+        svrg_update(v, snapshot, 0.5, g, g, np.ones(3))
+    with pytest.raises(ValueError, match="shape"):
+        svrg_update(v, Snapshot(np.zeros(3), np.zeros(3), 0, 5), 0.5, g, g, g)
 
 
 def test_comp_grad_update_matches_direct_formula():

@@ -7,6 +7,8 @@ import pytest
 from stormlab.cli import main as cli_main
 from stormlab.harness import (
     CHECK_PROBLEMS,
+    GridResult,
+    SummaryRow,
     load_summary,
     parse_config,
     run_grid,
@@ -253,6 +255,33 @@ def test_float_serialization_17_digits(tmp_path, small_result):
             assert f"{float(cell):.17g}" == cell
 
 
+def test_summary_and_plot_csv_bytes(tmp_path):
+    doc = _config(algorithms=[{"name": "ada_storm", "label": "a"}, {"name": "sgd", "label": "s"}])
+    cfg = parse_config(doc)
+    rows = [
+        SummaryRow("a", "noisy_quadratic", 80, 5, 0.1, 1 / 3, 2.5, 0.0, 1e-20, 7.0),
+        SummaryRow("a", "noisy_quadratic", 40, 3, 123456789.123, 0.5, 1.0, 2.0, 3.0, 4.0),
+    ]
+    written = write_outputs(GridResult(cells=[], records=[], rows=rows), cfg, tmp_path)
+    assert sorted(os.path.basename(p) for p in written) == [
+        "plot__a__noisy_quadratic.csv", "summary.csv", "summary.json"]
+    # Header order is the SummaryRow field order; ints are bare, floats %.17g.
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"algorithm,problem,T,n_seeds,avg_grad_norm,avg_grad_norm_stderr,tau_grad_norm,"
+        b"tau_grad_norm_stderr,final_quarter_grad_norm,final_quarter_grad_norm_stderr\n"
+        b"a,noisy_quadratic,80,5,0.10000000000000001,0.33333333333333331,2.5,0,"
+        b"9.9999999999999995e-21,7\n"
+        b"a,noisy_quadratic,40,3,123456789.123,0.5,1,2,3,4\n"
+    )
+    # One plot file per label with rows, sorted by T.
+    assert (tmp_path / "plot__a__noisy_quadratic.csv").read_bytes() == (
+        b"T,avg_grad_norm,avg_grad_norm_stderr,tau_grad_norm,tau_grad_norm_stderr,"
+        b"final_quarter_grad_norm,final_quarter_grad_norm_stderr\n"
+        b"40,123456789.123,0.5,1,2,3,4\n"
+        b"80,0.10000000000000001,0.33333333333333331,2.5,0,9.9999999999999995e-21,7\n"
+    )
+
+
 # --- failure reporting ------------------------------------------------------------
 
 
@@ -356,6 +385,19 @@ def test_cli_slopes_prints_fits(tiny_config_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ada_storm" in out and "slope=" in out
+
+
+def test_cli_slopes_prints_only_the_stored_fits(tiny_config_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cli_main(["run", str(tiny_config_file), "--out", str(out_dir)])
+    path = out_dir / "summary.json"
+    doc = json.loads(path.read_text())
+    assert doc["rows"] and doc["slopes"]
+    doc["slopes"] = []
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["slopes", str(path)]) == 0
+    assert capsys.readouterr().out == "no slope fits available (need >= 3 horizons per algorithm)\n"
 
 
 def test_cli_slopes_missing_file(tmp_path, capsys):

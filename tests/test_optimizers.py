@@ -427,6 +427,16 @@ def _outcome(fn):
 def test_registry_covers_every_tunable():
     assert {key for _, key in REGISTRY_PAIRS} == set(VALUES)
     assert tunables("fs_storm_svrg") == {"alpha": 0.3, "period": None, "eta_const": None}
+    sampled = {"noisy_quadratic", "nonconvex_smooth", "finite_sum"}
+    assert {name: set(families) for name, (_, families) in ALGORITHMS.items()} == {
+        "ada_storm": sampled,
+        "ada_storm_doubling": sampled,
+        "comp_storm": {"compositional"},
+        "fs_storm": {"finite_sum"},
+        "fs_storm_svrg": {"finite_sum"},
+        "sgd": sampled,
+        "storm_original": sampled,
+    }
 
 
 @pytest.mark.parametrize("name,key", REGISTRY_PAIRS)

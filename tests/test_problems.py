@@ -1,8 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from stormlab.numerics import RngStream
 from stormlab.problems import (
+    FAMILIES,
+    CompositionalProblem,
+    FiniteSumProblem,
+    NoisyQuadratic,
+    NonconvexSmooth,
     from_spec,
     grad_check,
     make_compositional,
@@ -255,7 +262,7 @@ def test_from_spec_round_trip(quad):
     np.testing.assert_array_equal(rebuilt.x0, quad.x0)
 
 
-def test_from_spec_rejects_unknown_name_and_fields():
+def test_from_spec_rejects_unknown_name_and_fields(noncvx, fsum, comp):
     with pytest.raises(ValueError, match="unknown problem"):
         from_spec({"name": "mystery", "dim": 2})
     with pytest.raises(ValueError, match="unknown fields"):
@@ -265,3 +272,29 @@ def test_from_spec_rejects_unknown_name_and_fields():
         )
     with pytest.raises(ValueError, match="missing fields"):
         from_spec({"name": "noisy_quadratic", "dim": 2})
+    # Each family's fields are its class's required constructor arguments.
+    expected = {
+        "noisy_quadratic": ["L", "dim", "mu", "seed", "sigma"],
+        "nonconvex_smooth": ["dim", "seed", "sigma"],
+        "finite_sum": ["dim", "n", "seed"],
+        "compositional": ["dim", "inner_dim", "seed", "sigma"],
+    }
+    for name, fields in expected.items():
+        message = f"missing fields for problem '{name}': {fields}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_spec({"name": name})
+    # Optional constructor arguments and the fixed outlier share stay out of configs.
+    for problem, extra in ((noncvx, "epsilon"), (comp, "offset"), (fsum, "outlier_frac")):
+        name = problem.spec["name"]
+        message = f"unknown fields for problem '{name}': ['{extra}']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_spec(dict(problem.spec, **{extra: 0.1}))
+
+
+def test_make_names_are_the_family_classes():
+    assert make_noisy_quadratic is NoisyQuadratic
+    assert make_nonconvex_smooth is NonconvexSmooth
+    assert make_finite_sum is FiniteSumProblem
+    assert make_compositional is CompositionalProblem
+    assert FAMILIES == {"noisy_quadratic": NoisyQuadratic, "nonconvex_smooth": NonconvexSmooth,
+                        "finite_sum": FiniteSumProblem, "compositional": CompositionalProblem}
