@@ -9,8 +9,12 @@ current iterate, then moves to x - eta * v. Recorded columns:
     t, f, grad_norm, v_norm_sq, eta, beta, est_error
 
 where grad_norm and est_error are measured against the problem's exact
-gradient. A uniformly random reporting index tau is drawn from its own
-stream so that it never perturbs the iterate randomness.
+gradient. Those three measured columns are filled per block of BLOCK
+steps: the loop buffers x_t and v_t and measures the whole block with one
+call to `problem.value_and_grad`, always at the full block shape, so row
+t's bits depend only on t and x_t, not on T. A uniformly random reporting
+index tau is drawn from its own stream so that it never perturbs the
+iterate randomness.
 
 `ALGORITHMS` is the one registry of algorithms. A runner's signature holds
 the algorithm's tunables and their defaults, and `PARAM_RANGES` holds each
@@ -31,7 +35,8 @@ from .estimators import (
     GradientTable,
     comp_grad_update,
     comp_inner_update,
-    finite_sum_update,
+    finite_sum_estimate,
+    finite_sum_update,  # noqa: F401 - unused here, but bench/tracer.py wraps it in this module
     storm_init,
     storm_update,
     svrg_update,
@@ -100,6 +105,10 @@ def warmup_batch_size(horizon: int) -> int:
     return int(math.ceil(horizon ** (1.0 / 3.0) - 1e-12))
 
 
+# Steps per measured block: f, grad_norm and est_error are computed for this
+# many buffered iterates at once (the last block of a run is padded).
+BLOCK = 64
+
 # Runner arguments that are not tunables of the algorithm.
 _RUN_ARGS = {"problem", "T", "seed", "x0", "keep_iterates"}
 
@@ -166,8 +175,13 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
     `steps(problem, T, x0, root, **params)` sets the algorithm up at the
     starting point and returns its rule `step(t, x, x_prev) -> (v, |v|^2,
     eta, beta)`. The loop owns the rest: the entry checks, the tau draw, the
-    exact-gradient measurement and trace row at x, the move, the stop on a
+    trace row at x, the block measurement, the move, the stop on a
     non-finite value and the config echo.
+
+    A non-finite f is found when its block is measured. When step t fails
+    first, the block's pending rows up to t are measured before the failure
+    is raised, so the run stops with the same DivergenceError (first t;
+    f before v_norm_sq before eta) as a loop measuring every step.
     """
     params = check_run(name, problem.spec.get("name"), params)
     if T < 1:
@@ -182,34 +196,58 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
     f, grad_norm, v_norm_sq, etas, betas, est_error = (np.empty(T) for _ in range(6))
     iterates = np.empty((T + 1, problem.dim)) if keep_iterates else None
     v_history = np.empty((T, problem.dim)) if keep_iterates else None
+    xs = np.zeros((BLOCK, problem.dim))
+    vs = np.zeros((BLOCK, problem.dim))
+
+    def measure(t):
+        """Fill the measured columns of t's block up to row t; stop at the
+        first non-finite f."""
+        lo = (t - 1) // BLOCK * BLOCK
+        rows = t - lo
+        f_block, g_block = problem.value_and_grad(xs)
+        bad = ~np.isfinite(f_block[:rows])
+        if bad.any():
+            first = int(bad.argmax())
+            raise DivergenceError(lo + first + 1, "f", float(f_block[first]))
+        g = g_block[:rows]
+        diff = vs[:rows] - g
+        f[lo:t] = f_block[:rows]
+        grad_norm[lo:t] = np.sqrt(np.einsum("ij,ij->i", g, g))
+        est_error[lo:t] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
     x_tau = None
     x_prev = x
-    isfinite, sqrt = math.isfinite, math.sqrt
+    isfinite = math.isfinite
     # A floating-point error shows up as a non-finite value below, which
     # stops the run; numpy's warnings would only repeat it.
     with np.errstate(all="ignore"):
         for t in range(1, T + 1):
-            f_val, g_true = problem.value_and_grad(x)
-            if not isfinite(f_val):
-                raise DivergenceError(t, "f", f_val)
-            v, v_sq, eta, beta = step(t, x, x_prev)
-            if not isfinite(v_sq):
-                raise DivergenceError(t, "v_norm_sq", v_sq)
-            if not isfinite(eta):
-                raise DivergenceError(t, "eta", eta)
             i = t - 1
-            diff = v - g_true
-            f[i] = f_val
-            grad_norm[i] = sqrt(g_true @ g_true)
+            row = i % BLOCK
+            xs[row] = x
+            try:
+                v, v_sq, eta, beta = step(t, x, x_prev)
+                if not isfinite(v_sq):
+                    raise DivergenceError(t, "v_norm_sq", v_sq)
+                if not isfinite(eta):
+                    raise DivergenceError(t, "eta", eta)
+            except Exception:
+                # f at this step or an earlier one of its block, not yet
+                # measured, may have failed first; that failure is the one
+                # to report.
+                measure(t)
+                raise
+            vs[row] = v
             v_norm_sq[i] = v_sq
             etas[i] = eta
             betas[i] = beta
-            est_error[i] = sqrt(diff @ diff)
             if t == tau:
                 x_tau = x.copy()
             if keep_iterates:
                 iterates[i] = x
                 v_history[i] = v
+            if row == BLOCK - 1 or t == T:
+                measure(t)
             x_prev = x
             x = x - eta * v
     if keep_iterates:
@@ -329,12 +367,12 @@ def _fs_storm_steps(problem, T, x, root, alpha):
     sum_sq = 0.0
 
     def step(t, x, x_prev):
-        nonlocal v, table, sum_sq
+        nonlocal v, sum_sq
         if t > 1:
             i = int(index_gen.integers(n))
-            v, table = finite_sum_update(
-                v, table, beta, i, problem.component_grad(i, x), problem.component_grad(i, x_prev)
-            )
+            g_new = problem.component_grad(i, x)
+            v = finite_sum_estimate(v, table, beta, i, g_new, problem.component_grad(i, x_prev))
+            table.write(i, g_new)  # the run owns its table: no O(n dim) copy
         v_sq = norm_sq(v)
         sum_sq += v_sq
         return v, v_sq, finite_sum_lr(n, alpha, sum_sq), beta

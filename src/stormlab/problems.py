@@ -29,6 +29,10 @@ from .numerics import RngStream, Vector, as_vector, gaussian
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
+# The finite-sum measurement walks its components in chunks of this many
+# doubles per (block rows x chunk) temporary, so a block of iterates never
+# needs a (rows, n) array.
+MEASURE_CHUNK_DOUBLES = 16_384
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,10 @@ class OuterToken:
 class StochasticProblem:
     """Smooth objective with an unbiased sampled-gradient oracle.
 
-    Subclasses fill in `objective` and `true_grad`; the shared oracle adds
-    token noise on top of the exact gradient, so a token reused at two
-    points differs only through the exact gradients.
+    Subclasses fill in `objective` and `true_grad` at one point and
+    `value_and_grad` on a block of points; the shared oracle adds token
+    noise on top of the exact gradient, so a token reused at two points
+    differs only through the exact gradients.
     """
 
     dim: int
@@ -81,8 +86,13 @@ class StochasticProblem:
     def true_grad(self, x) -> Vector:
         raise NotImplementedError
 
-    def value_and_grad(self, x) -> tuple[float, Vector]:
-        return self.objective(x), self.true_grad(x)
+    def value_and_grad(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """f (B,) and the exact gradients (B, dim) at the rows of X (B, dim).
+
+        Each row's result depends only on that row, its position in X and
+        the shape of X, never on the other rows.
+        """
+        raise NotImplementedError
 
     def draw(self, rng: RngStream) -> GradientToken:
         return GradientToken(gaussian(rng, self.dim, self.sigma))
@@ -140,9 +150,9 @@ class NoisyQuadratic(StochasticProblem):
     def true_grad(self, x) -> Vector:
         return self.A @ x + self.b
 
-    def value_and_grad(self, x):
-        ax = self.A @ x
-        return 0.5 * float(x @ ax) + float(self.b @ x), ax + self.b
+    def value_and_grad(self, X):
+        ax = X @ self.A  # A is exactly symmetric
+        return 0.5 * np.einsum("ij,ij->i", X, ax) + X @ self.b, ax + self.b
 
 
 class NonconvexSmooth(StochasticProblem):
@@ -186,6 +196,11 @@ class NonconvexSmooth(StochasticProblem):
     def true_grad(self, x) -> Vector:
         x = np.asarray(x)
         return 2.0 * self.coeffs * x / (1.0 + x * x) + self.epsilon * x
+
+    def value_and_grad(self, X):
+        sq = X * X
+        f = np.log1p(sq) @ self.coeffs + 0.5 * self.epsilon * np.add.reduce(sq, axis=1)
+        return f, 2.0 * self.coeffs * X / (1.0 + sq) + self.epsilon * X
 
 
 class FiniteSumProblem(StochasticProblem):
@@ -244,9 +259,29 @@ class FiniteSumProblem(StochasticProblem):
         r = self.features @ x - self.targets
         return self.features.T @ self._dloss(r) / self.n
 
-    def value_and_grad(self, x):
-        r = self.features @ x - self.targets
-        return self._mean_loss(r), self.features.T @ self._dloss(r) / self.n
+    def value_and_grad(self, X):
+        """Block measurement as two GEMMs per chunk of components.
+
+        With q = 1 + r^2 and w = 1/q, the loss is r^2 w and its derivative
+        2 r w^2; the 2 is applied once at the end, which is exact.
+        """
+        rows = X.shape[0]
+        chunk = max(1, MEASURE_CHUNK_DOUBLES // rows)
+        f = np.zeros(rows)
+        G = np.zeros((rows, self.dim))
+        for lo in range(0, self.n, chunk):
+            a = self.features[lo:lo + chunk]
+            r = X @ a.T
+            r -= self.targets[lo:lo + chunk]
+            sq = r * r
+            w = sq + 1.0
+            np.divide(1.0, w, out=w)
+            sq *= w
+            f += np.add.reduce(sq, axis=1)
+            r *= w
+            r *= w
+            G += r @ a
+        return f / self.n, 2.0 * G / self.n
 
     def component_grad(self, i, x) -> Vector:
         """Gradient of the i-th component loss (0-based index)."""
@@ -317,9 +352,10 @@ class CompositionalProblem:
     def true_grad(self, x) -> Vector:
         return self.matrix.T @ self.inner_true(x)
 
-    def value_and_grad(self, x):
-        u = self.inner_true(x)
-        return 0.5 * float(u @ u), self.matrix.T @ u
+    def value_and_grad(self, X):
+        """f (B,) and the exact gradients (B, dim) at the rows of X (B, dim)."""
+        u = X @ self.matrix.T + self.offset
+        return 0.5 * np.einsum("ij,ij->i", u, u), u @ self.matrix
 
     def draw_inner(self, rng: RngStream) -> InnerToken:
         # Value and Jacobian noises are independent halves of one token.

@@ -193,9 +193,11 @@ def test_table_full_pass_mean_is_exact():
 def test_table_update_is_pure_and_consistent():
     fs = make_finite_sum(n=7, dim=3, seed=7)
     table = GradientTable.from_full_pass(fs, fs.x0)
-    before = table.entries.copy()
+    before, mean_before = table.entries.copy(), table.mean.copy()
     new = table.updated(2, np.ones(3))
     np.testing.assert_array_equal(table.entries, before)  # original untouched
+    np.testing.assert_array_equal(table.mean, mean_before)
+    assert (table.updates_since_sync, new.updates_since_sync) == (0, 1)
     np.testing.assert_array_equal(new.entries[2], np.ones(3))
     np.testing.assert_allclose(new.mean, new.entries.mean(axis=0), atol=1e-14)
 
@@ -204,11 +206,18 @@ def test_table_mean_drift_bounded_over_long_update_sequence():
     gen = np.random.default_rng(11)
     entries = gen.standard_normal((13, 5))
     table = GradientTable(entries=entries, mean=entries.mean(axis=0))
+    in_place = GradientTable(entries.copy(), entries.mean(axis=0))
     for _ in range(10_000):
         i = int(gen.integers(13))
-        table = table.updated(i, gen.standard_normal(5))
+        grad = gen.standard_normal(5)
+        table = table.updated(i, grad)
+        in_place.write(i, grad)
     direct = table.entries.mean(axis=0)
     assert float(np.abs(table.mean - direct).max()) <= 1e-10
+    # the in-place rule reaches the same bits, resyncs included
+    np.testing.assert_array_equal(in_place.entries, table.entries)
+    np.testing.assert_array_equal(in_place.mean, table.mean)
+    assert in_place.updates_since_sync == table.updates_since_sync
 
 
 def test_table_rejects_bad_index_and_shape():

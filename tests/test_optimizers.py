@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stormlab.estimators import GradientTable
 from stormlab.harness import parse_config
 from stormlab.optimizers import (
     ALGORITHMS,
+    BLOCK,
     DivergenceError,
     run_ada_storm,
     run_ada_storm_doubling,
@@ -51,6 +53,19 @@ def fsum():
     return make_finite_sum(n=8, dim=4, seed=34)
 
 
+@pytest.fixture(scope="module")
+def noncvx():
+    return make_nonconvex_smooth(dim=6, sigma=0.5, seed=35)
+
+
+FAMILY_FIXTURES = {
+    "noisy_quadratic": "quad",
+    "nonconvex_smooth": "noncvx",
+    "finite_sum": "fsum",
+    "compositional": "comp",
+}
+
+
 def _assert_records_equal(a, b, check_config=True):
     np.testing.assert_array_equal(a.t, b.t)
     for col in ("f", "grad_norm", "v_norm_sq", "eta", "beta", "est_error"):
@@ -89,29 +104,44 @@ def test_different_seeds_differ(name, prob_fixture, params, request):
     assert not np.array_equal(a.x_final, b.x_final)
 
 
+def _assert_rel(got, want, scale):
+    """|got - want| <= 1e-12 * scale, row by row."""
+    excess = np.abs(np.asarray(got) - want) - 1e-12 * np.asarray(scale)
+    assert np.all(excess <= 0), f"rows {np.flatnonzero(excess > 0)} off by more than 1e-12"
+
+
 @pytest.mark.parametrize("name,prob_fixture,params", ALL_RUNS)
 def test_trace_shapes_and_step_reconstruction(name, prob_fixture, params, request):
-    problem = request.getfixturevalue(prob_fixture)
-    T = 150
-    rec = run_algorithm(name, problem, T, seed=5, keep_iterates=True, **params)
-    assert rec.t.shape == (T,)
-    assert rec.t[0] == 1 and rec.t[-1] == T
-    assert rec.iterates.shape == (T + 1, problem.dim)
-    assert rec.v_history.shape == (T, problem.dim)
-    # every recorded step satisfies x_{t+1} = x_t - eta_t v_t
-    for t in range(T):
-        expected = rec.iterates[t] - rec.eta[t] * rec.v_history[t]
-        np.testing.assert_allclose(rec.iterates[t + 1], expected, atol=1e-12)
-    # recorded scalar columns match the iterate/estimate history
-    np.testing.assert_allclose(
-        rec.v_norm_sq, np.sum(rec.v_history**2, axis=1), rtol=1e-12, atol=1e-12
-    )
-    f_direct = np.array([problem.objective(x) for x in rec.iterates[:-1]])
-    np.testing.assert_allclose(rec.f, f_direct, rtol=1e-9, atol=1e-12)
-    g_direct = np.array(
-        [np.linalg.norm(problem.true_grad(x)) for x in rec.iterates[:-1]]
-    )
-    np.testing.assert_allclose(rec.grad_norm, g_direct, rtol=1e-9, atol=1e-12)
+    # every family the algorithm accepts, at horizons around the block size:
+    # a one-row run, a padded block, exact blocks and a padded third block
+    for family in sorted(ALGORITHMS[name][1]):
+        problem = request.getfixturevalue(FAMILY_FIXTURES[family])
+        for T in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+            rec = run_algorithm(name, problem, T, seed=5, keep_iterates=True, **params)
+            assert rec.t.shape == (T,)
+            assert rec.t[0] == 1 and rec.t[-1] == T
+            assert rec.iterates.shape == (T + 1, problem.dim)
+            assert rec.v_history.shape == (T, problem.dim)
+            # every recorded step satisfies x_{t+1} = x_t - eta_t v_t
+            for t in range(T):
+                expected = rec.iterates[t] - rec.eta[t] * rec.v_history[t]
+                np.testing.assert_allclose(rec.iterates[t + 1], expected, atol=1e-12)
+            # recorded scalar columns match the iterate/estimate history
+            np.testing.assert_allclose(
+                rec.v_norm_sq, np.sum(rec.v_history**2, axis=1), rtol=1e-12, atol=1e-12
+            )
+            # the block-measured columns match per-point measurement
+            xs = rec.iterates[:-1]
+            f = np.array([problem.objective(x) for x in xs])
+            grads = np.array([problem.true_grad(x) for x in xs])
+            g_norm = np.linalg.norm(grads, axis=1)
+            _assert_rel(rec.f, f, np.abs(f))
+            _assert_rel(rec.grad_norm, g_norm, g_norm)
+            # relative to |v| + |g|: v can equal the exact gradient at t = 1
+            _assert_rel(
+                rec.est_error, np.linalg.norm(rec.v_history - grads, axis=1),
+                np.sqrt(rec.v_norm_sq) + g_norm,
+            )
 
 
 @pytest.mark.parametrize("name,prob_fixture,params", ALL_RUNS)
@@ -185,11 +215,19 @@ def test_ada_storm_warmup_batch_size():
 
 
 def test_ada_storm_tau_stream_is_isolated(quad):
-    # SGD's schedule ignores T, so a shared prefix proves that drawing tau
-    # (which depends on T) never consumes iterate randomness
-    short = run_sgd(quad, 50, eta0=0.01, decay=0.0, seed=9)
-    long = run_sgd(quad, 100, eta0=0.01, decay=0.0, seed=9)
-    np.testing.assert_array_equal(short.f, long.f[:50])
+    # SGD's and fs_storm's schedules ignore T, so a shared prefix proves
+    # that drawing tau (which depends on T) never consumes iterate
+    # randomness, and that a measured row's bits do not depend on T: the
+    # short runs end in a padded block that the long runs fill
+    big_n = make_finite_sum(n=1000, dim=5, seed=36)
+    for run, problem, params in (
+        (run_sgd, quad, {"eta0": 0.01, "decay": 0.0}),
+        (run_fs_storm, big_n, {}),
+    ):
+        short = run(problem, BLOCK + 6, seed=9, **params)
+        long = run(problem, 2 * BLOCK + 36, seed=9, **params)
+        np.testing.assert_array_equal(short.f, long.f[: BLOCK + 6])
+        np.testing.assert_array_equal(short.est_error, long.est_error[: BLOCK + 6])
 
 
 def test_ada_storm_x0_override(quad):
@@ -484,12 +522,31 @@ def test_storm_original_rejects_c_zero_before_any_draw(quad):
 
 
 def test_diverging_run_stops_with_divergence_error():
+    # The first failure, f before v_norm_sq before eta at one step, even
+    # though f is measured a block at a time.
     quad6 = make_noisy_quadratic(dim=20, L=10.0, mu=1.0, sigma=1.0, seed=11)
-    for T in (500, 1000, 2000):
+    # spectrum below 1: |v|^2 overflows one step after f does (t = 163)
+    flat = make_noisy_quadratic(dim=20, L=0.1, mu=0.05, sigma=1.0, seed=11)
+    # |x|^2 = inf makes f infinite while v stays finite for the whole run
+    noncvx = make_nonconvex_smooth(dim=6, sigma=0.5, seed=3)
+    cases = [((quad6, T), {"eta0": 5.0}, 93) for T in (500, 1000, 2000)] + [
+        ((flat, 300), {"eta0": 100.0}, 162),
+        ((noncvx, 100), {"eta0": 0.1, "x0": np.full(6, 5e154)}, 1),
+    ]
+    for args, params, t in cases:
         with pytest.raises(DivergenceError) as info:
-            run_sgd(quad6, T, eta0=5.0, seed=1)
+            run_sgd(*args, seed=1, **params)
         err = info.value
-        assert err.quantity in ("f", "v_norm_sq", "eta")
-        assert 1 < err.t <= T
-        assert not math.isfinite(err.value)
+        assert (err.t, err.quantity) == (t, "f")
+        assert err.value == math.inf
         assert f"t={err.t}" in str(err) and err.quantity in str(err)
+
+
+def test_fs_storm_writes_its_table_in_place(monkeypatch):
+    def copy_made(*args):
+        raise AssertionError("GradientTable.updated copied the table")
+
+    problem = make_finite_sum(n=1000, dim=5, seed=37)
+    monkeypatch.setattr(GradientTable, "updated", copy_made)
+    rec = run_fs_storm(problem, 300, seed=2)
+    assert np.all(np.isfinite(rec.f))

@@ -1,16 +1,20 @@
 """Print SHA-256 digests of stormlab's run traces and written artifacts.
 
-Two digests, one per line:
+Three digests, one per line:
 
-* runs      - 32 direct runs: every algorithm on every problem family it
-              accepts, at T = 300 and again at T = 130 with `keep_iterates`
-              (sgd and storm_original with non-default parameters there),
-              plus fs_storm_svrg with `period` and with `period`/`eta_const`.
-              Each run hashes its seven trace columns, tau, x_tau, x_final,
-              the config JSON in key order, iterates and estimates.
-* artifacts - every file `write_outputs` writes for the criterion-11 config
-              and for a three-algorithm grid at thin 3 (and again at thin 7
-              and 1000), name and bytes.
+* runs       - 32 direct runs: every algorithm on every problem family it
+               accepts, at T = 300 and again at T = 130 with
+               `keep_iterates` (sgd and storm_original with non-default
+               parameters there), plus fs_storm_svrg with `period` and with
+               `period`/`eta_const`. Each run hashes its seven trace
+               columns, tau, x_tau, x_final, the config JSON in key order,
+               iterates and estimates.
+* unmeasured - the same 32 runs without the three measured columns (f,
+               grad_norm, est_error): everything the algorithms compute,
+               which a change to how the trace is measured must not move.
+* artifacts  - every file `write_outputs` writes for the criterion-11
+               config and for a three-algorithm grid at thin 3 (and again
+               at thin 7 and 1000), name and bytes.
 
 A refactor that must not change outputs compares these at both commits:
 
@@ -39,28 +43,39 @@ THREE_ALGORITHMS = {
 }
 
 
-def _hash_run(h, record):
-    for column in record.columns().values():
-        h.update(column.tobytes())
+MEASURED = ("f", "grad_norm", "est_error")
+
+
+def _hash_run(h, record, skip=()):
+    for name, column in record.columns().items():
+        if name not in skip:
+            h.update(column.tobytes())
     h.update(str(record.tau).encode())
     for array in (record.x_tau, record.x_final, record.iterates, record.v_history):
         h.update(b"-" if array is None else array.tobytes())
     h.update(json.dumps(record.config).encode())
 
 
-def runs_digest() -> str:
-    h = hashlib.sha256()
+def _runs():
     specs = {spec["name"]: spec for spec in harness.CHECK_PROBLEMS}
     for name, (_, families) in sorted(optimizers.ALGORITHMS.items()):
         for family in sorted(families):
             problem = problems.from_spec(specs[family])
-            _hash_run(h, optimizers.run_algorithm(name, problem, 300, 1))
-            _hash_run(h, optimizers.run_algorithm(
-                name, problem, 130, 2, keep_iterates=True, **EXTRA.get(name, {})))
+            yield optimizers.run_algorithm(name, problem, 300, 1)
+            yield optimizers.run_algorithm(
+                name, problem, 130, 2, keep_iterates=True, **EXTRA.get(name, {}))
     finite_sum = problems.from_spec(specs["finite_sum"])
     for params in ({"period": 7}, {"period": 7, "eta_const": 0.05}):
-        _hash_run(h, optimizers.run_algorithm("fs_storm_svrg", finite_sum, 200, 3, **params))
-    return h.hexdigest()
+        yield optimizers.run_algorithm("fs_storm_svrg", finite_sum, 200, 3, **params)
+
+
+def runs_digests() -> tuple[str, str]:
+    """(runs, unmeasured) digests over the same 32 runs."""
+    runs, unmeasured = hashlib.sha256(), hashlib.sha256()
+    for record in _runs():
+        _hash_run(runs, record)
+        _hash_run(unmeasured, record, skip=MEASURED)
+    return runs.hexdigest(), unmeasured.hexdigest()
 
 
 def artifacts_digest() -> str:
@@ -78,5 +93,7 @@ def artifacts_digest() -> str:
 
 
 if __name__ == "__main__":
-    print(f"runs      {runs_digest()}")
-    print(f"artifacts {artifacts_digest()}")
+    runs, unmeasured = runs_digests()
+    print(f"runs       {runs}")
+    print(f"unmeasured {unmeasured}")
+    print(f"artifacts  {artifacts_digest()}")
