@@ -16,6 +16,11 @@ and previous iterate. beta = 1 drops all history and returns grad_new. The
 compositional updates run it on inner values and on Jacobian/outer-gradient
 products; the finite-sum updates subtract beta times a zero-mean control
 variate from it.
+
+Each public update is its input checks followed by a private unchecked
+core (`_storm`, `_comp_grad`, `_corrected`), and the cores hold the only
+copy of each formula. The optimizers' step rules check beta and the shapes
+once at set-up (`check_recursion`) and call the cores on every step.
 """
 
 from __future__ import annotations
@@ -41,6 +46,29 @@ def _check_same_shape(*arrays):
         raise ValueError(f"incompatible shapes: {sorted(shapes)}")
 
 
+def check_recursion(beta: float, *arrays) -> list:
+    """The checks every update makes: beta in (0, 1] and one shape for all
+    arrays. Returns the arrays as float64."""
+    _check_beta(beta)
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    _check_same_shape(*arrays)
+    return arrays
+
+
+def _storm(v_prev, beta, grad_new, grad_old):
+    # Algebraically (1-b)v + b*g_new + (1-b)(g_new - g_old).
+    return grad_new + (1.0 - beta) * (v_prev - grad_old)
+
+
+def _comp_grad(v_prev, beta, outer_new, jac_new, outer_old, jac_old):
+    return _storm(v_prev, beta, jac_new.T @ outer_new, jac_old.T @ outer_old)
+
+
+def _corrected(v_prev, beta, grad_new, grad_old, sample, mean):
+    # The finite-sum recursions: the correction sample - mean has zero mean.
+    return _storm(v_prev, beta, grad_new, grad_old) - beta * (sample - mean)
+
+
 def storm_init(problem, x, batch_size: int, rng) -> Vector:
     """Average of batch_size oracle gradients at x.
 
@@ -59,13 +87,8 @@ def storm_init(problem, x, batch_size: int, rng) -> Vector:
 
 def storm_update(v_prev, beta: float, grad_new, grad_old) -> Vector:
     """One recursive-momentum step; see the module docstring for the form."""
-    _check_beta(beta)
-    v_prev = np.asarray(v_prev, dtype=np.float64)
-    grad_new = np.asarray(grad_new, dtype=np.float64)
-    grad_old = np.asarray(grad_old, dtype=np.float64)
-    _check_same_shape(v_prev, grad_new, grad_old)
-    # Algebraically (1-b)v + b*g_new + (1-b)(g_new - g_old).
-    return grad_new + (1.0 - beta) * (v_prev - grad_old)
+    v_prev, grad_new, grad_old = check_recursion(beta, v_prev, grad_new, grad_old)
+    return _storm(v_prev, beta, grad_new, grad_old)
 
 
 def comp_inner_update(u_prev, beta: float, value_new, value_old) -> Vector:
@@ -97,7 +120,11 @@ def comp_grad_update(v_prev, beta: float, outer_new, jac_new, outer_old, jac_old
             f"Jacobian shape {jac_new.shape} does not match outer gradient "
             f"length {outer_new.shape[0]}"
         )
-    return storm_update(v_prev, beta, jac_new.T @ outer_new, jac_old.T @ outer_old)
+    _check_same_shape(outer_new, outer_old)
+    (v_prev,) = check_recursion(beta, v_prev)
+    if v_prev.shape != jac_new.shape[1:]:
+        raise ValueError(f"estimate shape {v_prev.shape} does not match Jacobian {jac_new.shape}")
+    return _comp_grad(v_prev, beta, outer_new, jac_new, outer_old, jac_old)
 
 
 @dataclass
@@ -136,6 +163,10 @@ class GradientTable:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match table {self.mean.shape}"
             )
+        self._write(i, grad)
+
+    def _write(self, i: int, grad) -> None:
+        """`write` without its checks, for a caller that made them once."""
         old = self.entries[i].copy()
         self.entries[i] = grad
         self.updates_since_sync += 1
@@ -156,9 +187,10 @@ def finite_sum_estimate(
     v_prev, table: GradientTable, beta: float, i: int, grad_new, grad_old
 ) -> Vector:
     """The new estimate of `finite_sum_update`, without writing the table."""
-    v_new = storm_update(v_prev, beta, grad_new, grad_old)
-    _check_same_shape(v_new, table.mean)
-    return v_new - beta * (table.entries[i] - table.mean)
+    v_prev, grad_new, grad_old, mean = check_recursion(
+        beta, v_prev, grad_new, grad_old, table.mean
+    )
+    return _corrected(v_prev, beta, grad_new, grad_old, table.entries[i], mean)
 
 
 def finite_sum_update(
@@ -216,11 +248,11 @@ def svrg_update(
     point. Raises StaleSnapshotError when the snapshot has been used for a
     full period without a refresh.
     """
-    v_new = storm_update(v_prev, beta, grad_new, grad_old)
+    v_prev, grad_new, grad_old = check_recursion(beta, v_prev, grad_new, grad_old)
     if snapshot.age >= snapshot.period:
         raise StaleSnapshotError(
             f"snapshot age {snapshot.age} reached its period {snapshot.period}"
         )
     grad_anchor = np.asarray(grad_anchor, dtype=np.float64)
-    _check_same_shape(v_new, grad_anchor, snapshot.full_grad)
-    return v_new - beta * (grad_anchor - snapshot.full_grad)
+    _check_same_shape(v_prev, grad_anchor, snapshot.full_grad)
+    return _corrected(v_prev, beta, grad_new, grad_old, grad_anchor, snapshot.full_grad)

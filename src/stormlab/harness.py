@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -65,6 +66,16 @@ def _require_keys(mapping, allowed, where):
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _whole(value, what):
+    """value as an int; a bool, a string or a number with a fraction raises
+    ValueError naming `what` instead of being truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
 def _parse_algorithm(entry: dict, problem_name: str) -> dict:
     if "name" not in entry:
         raise ValueError("algorithm entry needs a 'name' field")
@@ -79,7 +90,8 @@ def parse_config(doc) -> ExperimentConfig:
     """Validate a config given as JSON text or an already-parsed mapping.
 
     Unknown keys anywhere are rejected, exactly one of 'algorithm' or
-    'algorithms' must be present, seeds must be distinct integers, and all
+    'algorithms' must be present, T, seeds and thin must be whole numbers
+    (never bools; 10.0 is 10, 10.5 is an error), seeds must be distinct, and all
     algorithm/problem parameters are range-checked here rather than deep in
     a grid cell.
     """
@@ -113,13 +125,13 @@ def parse_config(doc) -> ExperimentConfig:
     if "T" not in grid or "seeds" not in grid:
         raise ValueError("grid needs both 'T' and 'seeds'")
     T_grid = grid["T"] if isinstance(grid["T"], list) else [grid["T"]]
-    T_grid = [int(t) for t in T_grid]
+    T_grid = [_whole(t, "grid T value") for t in T_grid]
     if not T_grid or any(t < 1 for t in T_grid):
         raise ValueError(f"grid T values must be integers >= 1, got {T_grid}")
     if len(set(T_grid)) != len(T_grid):
         raise ValueError(f"grid T values must be distinct, got {T_grid}")
     seeds = grid["seeds"] if isinstance(grid["seeds"], list) else [grid["seeds"]]
-    seeds = [int(s) for s in seeds]
+    seeds = [_whole(s, "grid seed") for s in seeds]
     if not seeds:
         raise ValueError("grid needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -133,7 +145,7 @@ def parse_config(doc) -> ExperimentConfig:
         out_dir = output.get("directory")
         if out_dir is not None:
             out_dir = str(out_dir)
-        thin = int(output.get("thin", 1))
+        thin = _whole(output.get("thin", 1), "output thin")
         if thin < 1:
             raise ValueError(f"thin must be >= 1, got {thin}")
 
@@ -182,8 +194,7 @@ class GridResult:
 
 
 def _run_cell(payload):
-    problem_spec, algo, T, seed = payload
-    problem = problems.from_spec(problem_spec)
+    problem, algo, T, seed = payload
     params = {
         k: v for k, v in algo.items() if k not in ("name", "label")
     }
@@ -197,23 +208,39 @@ def _run_cell_safe(payload):
         return False, f"{type(exc).__name__}: {exc}"
 
 
+# The grid's problem inside a pool worker, built once per worker process.
+_worker_problem = None
+
+
+def _start_worker(problem_spec):
+    global _worker_problem
+    _worker_problem = problems.from_spec(problem_spec)
+
+
+def _run_worker_cell(cell):
+    return _run_cell_safe((_worker_problem, *cell))
+
+
 def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
     """Run every (algorithm, T, seed) cell and aggregate summaries.
 
     Cells are independent; jobs > 1 fans them out to worker processes and
-    the merged result is identical to a serial run. A failing cell is
-    reported in `failures` without stopping the rest of the grid.
+    the merged result is identical to a serial run. The problem is built
+    once per process (no run changes it), not once per cell. A failing cell
+    is reported in `failures` without stopping the rest of the grid.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = list(itertools.product(config.algorithms, config.T_grid, config.seeds))
     cells = [(algo["label"], T, seed) for algo, T, seed in grid]
-    payloads = [(config.problem, *cell) for cell in grid]
+    problem = problems.from_spec(config.problem)
     if jobs == 1:
-        outcomes = [_run_cell_safe(p) for p in payloads]
+        outcomes = [_run_cell_safe((problem, *cell)) for cell in grid]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell_safe, payloads))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_start_worker, initargs=(config.problem,)
+        ) as pool:
+            outcomes = list(pool.map(_run_worker_cell, grid))
 
     result = GridResult(cells=cells, records=[])
     by_group = {}

@@ -16,6 +16,18 @@ t's bits depend only on t and x_t, not on T. A uniformly random reporting
 index tau is drawn from its own stream so that it never perturbs the
 iterate randomness.
 
+The random streams are read per block too: every oracle draw and component
+index comes from its stream's BLOCK-draw buffer (`RngStream.normals` and
+`RngStream.index`), whose values are exactly those of one generator call
+per step. Step rules check beta, the shapes and the fixed step-size
+arguments once at set-up (`check_recursion`, `ada_lr_law`,
+`finite_sum_lr_law`) and then call the unchecked estimator cores; the
+public `storm_update`, `svrg_update`, `ada_lr` and the rest keep their
+checks for every other caller. The finite-sum rules still call
+`problem.component_grad` exactly 2 (table) or 3 (anchored) times per step:
+those calls are the oracle cost the method is analysed in, and a batched
+evaluation would change both the counted cost and the gradients' bits.
+
 `ALGORITHMS` is the one registry of algorithms. A runner's signature holds
 the algorithm's tunables and their defaults, and `PARAM_RANGES` holds each
 tunable's range; configs and direct calls are both checked by `check_run`.
@@ -31,23 +43,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problems
-from .estimators import (
+from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked updates here
     GradientTable,
+    _comp_grad,
+    _corrected,
+    _storm,
+    check_recursion,
     comp_grad_update,
     comp_inner_update,
     finite_sum_estimate,
-    finite_sum_update,  # noqa: F401 - unused here, but bench/tracer.py wraps it in this module
+    finite_sum_update,
     storm_init,
     storm_update,
     svrg_update,
     take_snapshot,
 )
-from .numerics import RngStream, as_vector, norm_sq
-from .schedules import (
+from .numerics import BLOCK, RngStream, as_vector, norm_sq
+from .schedules import (  # noqa: F401 - bench/tracer.py wraps ada_lr, finite_sum_lr here
     ada_beta,
     ada_lr,
+    ada_lr_law,
     finite_sum_beta,
     finite_sum_lr,
+    finite_sum_lr_law,
     stage_length,
     storm_original_params,
 )
@@ -104,10 +122,6 @@ def warmup_batch_size(horizon: int) -> int:
     cubes landing one ulp above the integer."""
     return int(math.ceil(horizon ** (1.0 / 3.0) - 1e-12))
 
-
-# Steps per measured block: f, grad_norm and est_error are computed for this
-# many buffered iterates at once (the last block of a run is padded).
-BLOCK = 64
 
 # Runner arguments that are not tunables of the algorithm.
 _RUN_ARGS = {"problem", "T", "seed", "x0", "keep_iterates"}
@@ -265,22 +279,25 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
 def _ada_storm_steps(problem, T, x, root, alpha, doubling=False):
     step_rng = root.child("step")
     init_rng = root.child("init")
-    v = beta = None
+    draw, grad_at = problem.draw, problem.grad_at
+    v = beta = lr = None
     sum_sq = 0.0
 
     def step(t, x, x_prev):
-        nonlocal v, beta, sum_sq
+        nonlocal v, beta, lr, sum_sq
         horizon, reset = stage_length(t) if doubling else (T, t == 1)
         if reset:
             sum_sq = 0.0
             beta = ada_beta(horizon)
+            lr = ada_lr_law(horizon, alpha)
             v = storm_init(problem, x, warmup_batch_size(horizon), init_rng)
+            check_recursion(beta, v, x)
         else:
-            token = problem.draw(step_rng)
-            v = storm_update(v, beta, problem.grad_at(token, x), problem.grad_at(token, x_prev))
+            token = draw(step_rng)
+            v = _storm(v, beta, grad_at(token, x), grad_at(token, x_prev))
         v_sq = norm_sq(v)
         sum_sq += v_sq
-        return v, v_sq, ada_lr(horizon, alpha, sum_sq), beta
+        return v, v_sq, lr(sum_sq), beta
 
     return step
 
@@ -315,6 +332,7 @@ def _comp_storm_steps(problem, T, x, root, alpha):
     init_inner = root.child("init_inner")
     init_outer = root.child("init_outer")
     beta = ada_beta(T)
+    lr = ada_lr_law(T, alpha)
     batch = warmup_batch_size(T)
     inner_tokens = [problem.draw_inner(init_inner) for _ in range(batch)]
     outer_tokens = [problem.draw_outer(init_outer) for _ in range(batch)]
@@ -324,24 +342,25 @@ def _comp_storm_steps(problem, T, x, root, alpha):
          for zt, xt in zip(inner_tokens, outer_tokens)],
         axis=0,
     )
+    check_recursion(beta, v, x)
+    draw_inner, draw_outer = problem.draw_inner, problem.draw_outer
+    inner_value, inner_jac, outer_grad = problem.inner_value, problem.inner_jac, problem.outer_grad
     sum_sq = 0.0
 
     def step(t, x, x_prev):
         nonlocal u, v, sum_sq
         if t > 1:
-            zeta = problem.draw_inner(inner_rng)
-            xi = problem.draw_outer(outer_rng)
-            u_new = comp_inner_update(
-                u, beta, problem.inner_value(zeta, x), problem.inner_value(zeta, x_prev)
-            )
-            v = comp_grad_update(
-                v, beta, problem.outer_grad(xi, u_new), problem.inner_jac(zeta, x),
-                problem.outer_grad(xi, u), problem.inner_jac(zeta, x_prev),
+            zeta = draw_inner(inner_rng)
+            xi = draw_outer(outer_rng)
+            u_new = _storm(u, beta, inner_value(zeta, x), inner_value(zeta, x_prev))
+            v = _comp_grad(
+                v, beta, outer_grad(xi, u_new), inner_jac(zeta, x),
+                outer_grad(xi, u), inner_jac(zeta, x_prev),
             )
             u = u_new
         v_sq = norm_sq(v)
         sum_sq += v_sq
-        return v, v_sq, ada_lr(T, alpha, sum_sq), beta
+        return v, v_sq, lr(sum_sq), beta
 
     return step
 
@@ -359,23 +378,26 @@ def run_comp_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) 
 
 
 def _fs_storm_steps(problem, T, x, root, alpha):
-    index_gen = root.child("component").generator
+    index_rng = root.child("component")
     n = problem.n
     beta = finite_sum_beta(n)
+    lr = finite_sum_lr_law(n, alpha)
     table = GradientTable.from_full_pass(problem, x)
     v = table.mean.copy()
+    check_recursion(beta, v, x)
+    component_grad, entries = problem.component_grad, table.entries
     sum_sq = 0.0
 
     def step(t, x, x_prev):
         nonlocal v, sum_sq
         if t > 1:
-            i = int(index_gen.integers(n))
-            g_new = problem.component_grad(i, x)
-            v = finite_sum_estimate(v, table, beta, i, g_new, problem.component_grad(i, x_prev))
-            table.write(i, g_new)  # the run owns its table: no O(n dim) copy
+            i = index_rng.index(n)
+            g_new = component_grad(i, x)
+            v = _corrected(v, beta, g_new, component_grad(i, x_prev), entries[i], table.mean)
+            table._write(i, g_new)  # the run owns its table: no O(n dim) copy
         v_sq = norm_sq(v)
         sum_sq += v_sq
-        return v, v_sq, finite_sum_lr(n, alpha, sum_sq), beta
+        return v, v_sq, lr(sum_sq), beta
 
     return step
 
@@ -392,27 +414,31 @@ def run_fs_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) ->
 
 
 def _fs_storm_svrg_steps(problem, T, x, root, alpha, period, eta_const=None):
-    index_gen = root.child("component").generator
+    index_rng = root.child("component")
     n = problem.n
     beta = finite_sum_beta(n)
+    lr = finite_sum_lr_law(n, alpha)
     snapshot = take_snapshot(problem, x, period)
     v = snapshot.full_grad.copy()
+    check_recursion(beta, v, x)
+    component_grad = problem.component_grad
     sum_sq = 0.0
 
     def step(t, x, x_prev):
         nonlocal v, snapshot, sum_sq
         if t > 1:
+            # Refreshing on this schedule keeps every anchor younger than its
+            # period, which is all `svrg_update`'s staleness check asks.
             if t % period == 0:
                 snapshot = take_snapshot(problem, x, period)
-            i = int(index_gen.integers(n))
-            v = svrg_update(
-                v, snapshot, beta, problem.component_grad(i, x),
-                problem.component_grad(i, x_prev), problem.component_grad(i, snapshot.x),
+            i = index_rng.index(n)
+            v = _corrected(
+                v, beta, component_grad(i, x), component_grad(i, x_prev),
+                component_grad(i, snapshot.x), snapshot.full_grad,
             )
-            snapshot = snapshot.aged()
         v_sq = norm_sq(v)
         sum_sq += v_sq
-        eta = finite_sum_lr(n, alpha, sum_sq) if eta_const is None else float(eta_const)
+        eta = lr(sum_sq) if eta_const is None else float(eta_const)
         return v, v_sq, eta, beta
 
     return step
@@ -469,8 +495,7 @@ def _storm_original_steps(problem, T, x, root, k, w, c):
         else:
             # c * eta**2 can underflow to 0; the smallest positive beta gives
             # the same v, since 1 - beta rounds to 1.
-            g_old = problem.grad_at(token, x_prev)
-            v = storm_update(v, beta or math.ulp(0.0), g_new, g_old)
+            v = _storm(v, beta or math.ulp(0.0), g_new, problem.grad_at(token, x_prev))
         return v, norm_sq(v), eta, beta
 
     return step

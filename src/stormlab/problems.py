@@ -194,8 +194,15 @@ class NonconvexSmooth(StochasticProblem):
         return float(self.coeffs @ np.log1p(x * x)) + 0.5 * self.epsilon * float(x @ x)
 
     def true_grad(self, x) -> Vector:
-        x = np.asarray(x)
-        return 2.0 * self.coeffs * x / (1.0 + x * x) + self.epsilon * x
+        # 2 c x / (1 + x^2) + epsilon x, evaluated in place in that order.
+        x = np.asarray(x, dtype=np.float64)
+        q = x * x
+        q += 1.0
+        g = 2.0 * self.coeffs
+        g *= x
+        g /= q
+        g += self.epsilon * x
+        return g
 
     def value_and_grad(self, X):
         sq = X * X
@@ -288,10 +295,11 @@ class FiniteSumProblem(StochasticProblem):
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} outside [0, {self.n})")
         a = self.features[i]
-        return self._dloss(float(a @ x) - self.targets[i]) * a
+        # Python-float scalars: the same IEEE operations as numpy scalars, faster.
+        return self._dloss(float(a @ x) - float(self.targets[i])) * a
 
     def draw(self, rng: RngStream) -> ComponentToken:
-        return ComponentToken(int(rng.generator.integers(self.n)))
+        return ComponentToken(rng.index(self.n))
 
     def grad_at(self, token: ComponentToken, x) -> Vector:
         return self.component_grad(token.index, x)
@@ -358,15 +366,13 @@ class CompositionalProblem:
         return 0.5 * np.einsum("ij,ij->i", u, u), u @ self.matrix
 
     def draw_inner(self, rng: RngStream) -> InnerToken:
-        # Value and Jacobian noises are independent halves of one token.
-        value_noise = gaussian(rng, self.inner_dim, self.sigma)
+        # Value and Jacobian noises are independent halves of one token, read
+        # in that order as one draw of inner_dim * (1 + dim) values.
+        m = self.inner_dim
         if self.sigma == 0.0:
-            jac_noise = np.zeros((self.inner_dim, self.dim))
-        else:
-            jac_noise = self.sigma * rng.generator.standard_normal(
-                (self.inner_dim, self.dim)
-            )
-        return InnerToken(value_noise, jac_noise)
+            return InnerToken(np.zeros(m), np.zeros((m, self.dim)))
+        noise = rng.normals(m * (1 + self.dim), self.sigma)
+        return InnerToken(noise[:m], noise[m:].reshape(m, self.dim))
 
     def draw_outer(self, rng: RngStream) -> OuterToken:
         return OuterToken(gaussian(rng, self.inner_dim, self.sigma))

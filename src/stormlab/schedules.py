@@ -3,6 +3,12 @@
 All functions here are pure: the caller owns the running sums and passes
 them in. Each law keeps the step size nonincreasing while its sum grows,
 which is what the trace invariants check.
+
+The two adaptive step-size laws are written once, as `ada_lr_law` and
+`finite_sum_lr_law`: each checks its fixed arguments and computes its
+horizon factors once, then returns the step size as a function of the
+running sum. A run loop builds the law once per stage; `ada_lr` and
+`finite_sum_lr` are the one-call forms.
 """
 
 from __future__ import annotations
@@ -12,25 +18,40 @@ from __future__ import annotations
 SUM_SQ_FLOOR = 1e-30
 
 
-def ada_lr(horizon: int, alpha: float, sum_sq: float) -> float:
-    """Adaptive step size for a run of known length.
+def _check_sum_sq(sum_sq):
+    if sum_sq < 0:
+        raise ValueError(f"sum_sq must be nonnegative, got {sum_sq}")
 
-    Returns min(horizon**(-1/3), 1 / (horizon**((1-alpha)/3) * sum_sq**alpha))
-    where sum_sq accumulates the squared estimator norms through the current
-    step. The first branch wins exactly when sum_sq <= horizon**(1/3); it is
-    also the value returned when sum_sq is zero.
+
+def ada_lr_law(horizon: int, alpha: float):
+    """Adaptive step size for a run of known length, as a function of sum_sq.
+
+    The function returns min(horizon**(-1/3), 1 / (horizon**((1-alpha)/3) *
+    sum_sq**alpha)) where sum_sq accumulates the squared estimator norms
+    through the current step. The first branch wins exactly when sum_sq <=
+    horizon**(1/3); it is also the value returned when sum_sq is zero. The
+    function does not check sum_sq.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0.0 < alpha < 1.0 / 3.0:
         raise ValueError(f"alpha must lie in (0, 1/3), got {alpha}")
-    if sum_sq < 0:
-        raise ValueError(f"sum_sq must be nonnegative, got {sum_sq}")
     flat = float(horizon) ** (-1.0 / 3.0)
-    if sum_sq == 0.0:
-        return flat
-    adaptive = 1.0 / (float(horizon) ** ((1.0 - alpha) / 3.0) * sum_sq**alpha)
-    return min(flat, adaptive)
+    scale = float(horizon) ** ((1.0 - alpha) / 3.0)
+
+    def lr(sum_sq: float) -> float:
+        if sum_sq == 0.0:
+            return flat
+        return min(flat, 1.0 / (scale * sum_sq**alpha))
+
+    return lr
+
+
+def ada_lr(horizon: int, alpha: float, sum_sq: float) -> float:
+    """`ada_lr_law(horizon, alpha)` at sum_sq, which must be nonnegative."""
+    lr = ada_lr_law(horizon, alpha)
+    _check_sum_sq(sum_sq)
+    return lr(sum_sq)
 
 
 def ada_beta(horizon: int) -> float:
@@ -64,21 +85,32 @@ def doubling_params(t: int, alpha: float, stage_sum_sq: float) -> tuple[float, f
     return ada_lr(stage, alpha, stage_sum_sq), ada_beta(stage), stage, reset
 
 
-def finite_sum_lr(n: int, alpha: float, sum_sq: float) -> float:
-    """Adaptive step size for finite sums of n components.
+def finite_sum_lr_law(n: int, alpha: float):
+    """Adaptive step size for finite sums of n components, as a function of
+    sum_sq.
 
-    Returns 1 / (n**((1-alpha)/2) * sum_sq**alpha). sum_sq below
-    SUM_SQ_FLOOR is floored there, so the value stays finite and the
-    sequence stays nonincreasing as the sum grows.
+    The function returns 1 / (n**((1-alpha)/2) * sum_sq**alpha). sum_sq
+    below SUM_SQ_FLOOR is floored there, so the value stays finite and the
+    sequence stays nonincreasing as the sum grows. The function does not
+    check sum_sq.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < alpha < 1.0 / 3.0:
         raise ValueError(f"alpha must lie in (0, 1/3), got {alpha}")
-    if sum_sq < 0:
-        raise ValueError(f"sum_sq must be nonnegative, got {sum_sq}")
-    sum_sq = max(sum_sq, SUM_SQ_FLOOR)
-    return 1.0 / (float(n) ** ((1.0 - alpha) / 2.0) * sum_sq**alpha)
+    scale = float(n) ** ((1.0 - alpha) / 2.0)
+
+    def lr(sum_sq: float) -> float:
+        return 1.0 / (scale * max(sum_sq, SUM_SQ_FLOOR) ** alpha)
+
+    return lr
+
+
+def finite_sum_lr(n: int, alpha: float, sum_sq: float) -> float:
+    """`finite_sum_lr_law(n, alpha)` at sum_sq, which must be nonnegative."""
+    lr = finite_sum_lr_law(n, alpha)
+    _check_sum_sq(sum_sq)
+    return lr(sum_sq)
 
 
 def finite_sum_beta(n: int) -> float:

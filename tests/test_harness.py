@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from stormlab import problems
 from stormlab.cli import main as cli_main
 from stormlab.harness import (
     CHECK_PROBLEMS,
@@ -95,6 +96,23 @@ def test_parse_rejects_duplicate_seeds():
         parse_config(doc)
 
 
+def test_parse_rejects_non_integral_counts_naming_the_key():
+    # these used to be truncated to T = [10, 1], seeds = [2], thin = 1
+    for key, bad in (("T", [10.9, 20]), ("T", [40, True]), ("seeds", [2.7]), ("seeds", [1, False]),
+                     ("seeds", ["3"])):
+        doc = _config()
+        doc["grid"][key] = bad
+        with pytest.raises(ValueError, match=f"grid {'seed' if key == 'seeds' else key}"):
+            parse_config(doc)
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="thin"):
+            parse_config(_config(output={"thin": bad}))
+    # a whole float is its integer
+    cfg = parse_config(_config(grid={"T": [40.0, 80], "seeds": [1.0]}, output={"thin": 2.0}))
+    assert (cfg.T_grid, cfg.seeds, cfg.thin) == ([40, 80], [1], 2)
+    assert all(type(v) is int for v in cfg.T_grid + cfg.seeds + [cfg.thin])
+
+
 def test_parse_rejects_bad_grid_and_labels():
     doc = _config()
     doc["grid"]["T"] = [0]
@@ -170,6 +188,35 @@ def test_grid_parallel_matches_serial(small_result):
     for a, b in zip(result.records, parallel.records):
         np.testing.assert_array_equal(a.grad_norm, b.grad_norm)
         np.testing.assert_array_equal(a.x_final, b.x_final)
+
+
+def test_grid_builds_its_problem_once_and_jobs_keep_bytes(monkeypatch, tmp_path):
+    doc = {
+        "problem": {"name": "finite_sum", "n": 30, "dim": 3, "seed": 4},
+        "algorithms": [{"name": "fs_storm"}, {"name": "fs_storm_svrg", "period": 7}],
+        "grid": {"T": [20, 30], "seeds": [1, 2, 3]},
+    }
+    cfg = parse_config(doc)
+    built = []
+
+    class Counted(problems.FiniteSumProblem):
+        def __init__(self, n, dim, seed):
+            built.append(1)
+            super().__init__(n, dim, seed)
+
+    monkeypatch.setitem(problems.FAMILIES, "finite_sum", Counted)
+    result = run_grid(cfg)
+    assert result.ok and len(result.records) == 12
+    assert len(built) == 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert cli_main(["run", str(path), "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert len(outputs[0]) == 12 + 2 + 2
+    assert outputs[0] == outputs[1]
 
 
 def test_grid_matches_direct_runs(small_result):

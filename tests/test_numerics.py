@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormlab.numerics import RngStream, as_vector, gaussian, norm_sq
+from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, gaussian, norm_sq
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -102,3 +102,62 @@ def test_mixed_operation_sequence_replays():
         )
 
     assert sequence(RngStream(2).child("mix")) == sequence(RngStream(2).child("mix"))
+
+
+# A run of `count` reads of one kind from a stream. Counts up to 2.5 blocks
+# make runs cross refills; sizes up to 300 cover unbuffered reads too.
+READS = st.one_of(
+    st.tuples(st.just("normals"), st.integers(1, 300), st.sampled_from([1.0, 0.5, 2.5]),
+              st.integers(1, BLOCK * 5 // 2)),
+    st.tuples(st.just("index"), st.integers(1, 20_000), st.none(), st.integers(1, BLOCK * 5 // 2)),
+    st.tuples(st.just("gaussian"), st.integers(1, 300), st.sampled_from([0.0, 1.5]),
+              st.integers(1, 5)),
+    st.tuples(st.just("generator"), st.integers(1, 5), st.none(), st.integers(1, 3)),
+)
+
+
+def _per_step(gen, kind, k, param):
+    """What one read returns without a buffer, straight from the generator."""
+    if kind == "normals":
+        return param * gen.standard_normal(k)
+    if kind == "index":
+        return int(gen.integers(k))
+    if kind == "gaussian":
+        return np.zeros(k) if param == 0.0 else param * gen.standard_normal(k)
+    return gen.standard_normal(k)
+
+
+def _buffered(stream, kind, k, param):
+    if kind == "normals":
+        return stream.normals(k, param)
+    if kind == "index":
+        return stream.index(k)
+    if kind == "gaussian":
+        return gaussian(stream, k, param)
+    return stream.generator.standard_normal(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), runs=st.lists(READS, min_size=1, max_size=5))
+def test_buffered_reads_equal_per_step_draws(seed, runs):
+    stream = RngStream(seed).child("buffered")
+    fresh = RngStream(seed).child("buffered").generator  # never buffered
+    for kind, k, param, count in runs:
+        for _ in range(count):
+            got = _buffered(stream, kind, k, param)
+            want = _per_step(fresh, kind, k, param)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the generator is left where per-step draws leave it
+    assert stream.generator.bit_generator.state == fresh.bit_generator.state
+
+
+def test_buffers_stay_small_and_zero_sigma_draws_nothing():
+    stream = RngStream(3).child("s")
+    state = stream.generator.bit_generator.state
+    gaussian(stream, 7, 0.0)
+    assert stream.generator.bit_generator.state == state
+    stream.normals(MAX_BUFFERED + 1)  # read straight from the generator
+    assert stream._buf is None
+    stream.normals(MAX_BUFFERED)
+    assert stream._buf.size == BLOCK * MAX_BUFFERED

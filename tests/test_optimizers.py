@@ -550,3 +550,26 @@ def test_fs_storm_writes_its_table_in_place(monkeypatch):
     monkeypatch.setattr(GradientTable, "updated", copy_made)
     rec = run_fs_storm(problem, 300, seed=2)
     assert np.all(np.isfinite(rec.f))
+
+
+# The checked public forms the step rules must not call per step.
+CHECKED_ONCE = ("storm_update", "comp_grad_update", "finite_sum_estimate", "svrg_update",
+                "ada_lr", "finite_sum_lr")
+
+
+def test_step_rules_call_only_the_unchecked_cores(monkeypatch, request):
+    pairs = [(name, family) for name, (_, families) in sorted(ALGORITHMS.items())
+             for family in sorted(families)]
+    assert len(pairs) == 15
+    runs = [(name, request.getfixturevalue(FAMILY_FIXTURES[family])) for name, family in pairs]
+    before = [run_algorithm(name, problem, BLOCK + 5, seed=6) for name, problem in runs]
+
+    def checked_call(*args, **kwargs):
+        raise AssertionError("a step rule called a checked public update or law")
+
+    import stormlab.optimizers as optimizers
+
+    for attr in CHECKED_ONCE:
+        monkeypatch.setattr(optimizers, attr, checked_call)
+    for (name, problem), want in zip(runs, before):
+        _assert_records_equal(run_algorithm(name, problem, BLOCK + 5, seed=6), want)

@@ -2,8 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stormlab.numerics import RngStream
+from stormlab.numerics import BLOCK, RngStream
 from stormlab.problems import (
     FAMILIES,
     CompositionalProblem,
@@ -298,3 +300,42 @@ def test_make_names_are_the_family_classes():
     assert make_compositional is CompositionalProblem
     assert FAMILIES == {"noisy_quadratic": NoisyQuadratic, "nonconvex_smooth": NonconvexSmooth,
                         "finite_sum": FiniteSumProblem, "compositional": CompositionalProblem}
+
+
+# --- buffered oracle draws ------------------------------------------------------
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    inner_dim=st.integers(1, 10),
+    sigma=st.sampled_from([0.0, 0.3, 1.0]),
+    n=st.integers(1, 20_000),
+    draws=st.integers(1, 3 * BLOCK),
+    seed=st.integers(0, 2**31),
+)
+def test_oracle_draws_equal_per_step_generator_draws(dim, inner_dim, sigma, n, draws, seed):
+    # each draw as the oracles made it one generator call at a time
+    comp = CompositionalProblem(dim, inner_dim, sigma, seed=1)
+    quad = NoisyQuadratic(dim, 2.0, 1.0, sigma, seed=1)
+    fsum = FiniteSumProblem(n, 2, seed=1)
+    streams = {key: RngStream(seed).child(key) for key in ("inner", "outer", "quad", "index")}
+    fresh = {key: RngStream(seed).child(key).generator for key in streams}
+    for _ in range(draws):
+        token = comp.draw_inner(streams["inner"])
+        gen = fresh["inner"]
+        value = sigma * gen.standard_normal(inner_dim) if sigma else np.zeros(inner_dim)
+        jac = sigma * gen.standard_normal((inner_dim, dim)) if sigma else np.zeros((inner_dim, dim))
+        assert _same_bits(token.value_noise, value) and _same_bits(token.jac_noise, jac)
+        assert token.jac_noise.shape == (inner_dim, dim)
+        want = sigma * fresh["outer"].standard_normal(inner_dim) if sigma else np.zeros(inner_dim)
+        assert _same_bits(comp.draw_outer(streams["outer"]).noise, want)
+        want = sigma * fresh["quad"].standard_normal(dim) if sigma else np.zeros(dim)
+        assert _same_bits(quad.draw(streams["quad"]).noise, want)
+        assert fsum.draw(streams["index"]).index == int(fresh["index"].integers(n))
+    for key, stream in streams.items():
+        assert stream.generator.bit_generator.state == fresh[key].bit_generator.state
