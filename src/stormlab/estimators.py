@@ -144,10 +144,14 @@ class GradientTable:
 
     @classmethod
     def from_full_pass(cls, problem, x) -> "GradientTable":
-        """Fill the table with every component gradient at x."""
-        entries = np.stack(
-            [problem.component_grad(i, x) for i in range(problem.n)]
-        )
+        """Fill the table with every component gradient at x.
+
+        Rows are written into one preallocated array: stacking a list of n
+        row arrays would hold every row twice, once as a small array of its own.
+        """
+        entries = np.empty((problem.n, len(x)))
+        for i in range(problem.n):
+            entries[i] = problem.component_grad(i, x)
         return cls(entries=entries, mean=entries.mean(axis=0), updates_since_sync=0)
 
     @property
@@ -215,6 +219,12 @@ class StaleSnapshotError(RuntimeError):
     """An anchor outlived its refresh period; the caller missed a refresh."""
 
 
+def check_fresh(age: int, period: int) -> None:
+    """Raise StaleSnapshotError once an anchor has been used `period` times."""
+    if age >= period:
+        raise StaleSnapshotError(f"snapshot age {age} reached its period {period}")
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """Full-gradient anchor for the periodic-refresh estimator variant."""
@@ -249,10 +259,7 @@ def svrg_update(
     full period without a refresh.
     """
     v_prev, grad_new, grad_old = check_recursion(beta, v_prev, grad_new, grad_old)
-    if snapshot.age >= snapshot.period:
-        raise StaleSnapshotError(
-            f"snapshot age {snapshot.age} reached its period {snapshot.period}"
-        )
+    check_fresh(snapshot.age, snapshot.period)
     grad_anchor = np.asarray(grad_anchor, dtype=np.float64)
     _check_same_shape(v_prev, grad_anchor, snapshot.full_grad)
     return _corrected(v_prev, beta, grad_new, grad_old, grad_anchor, snapshot.full_grad)

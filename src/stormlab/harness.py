@@ -208,13 +208,13 @@ def _run_cell_safe(payload):
         return False, f"{type(exc).__name__}: {exc}"
 
 
-# The grid's problem inside a pool worker, built once per worker process.
+# The grid's problem inside a pool worker, handed over by run_grid.
 _worker_problem = None
 
 
-def _start_worker(problem_spec):
+def _start_worker(problem):
     global _worker_problem
-    _worker_problem = problems.from_spec(problem_spec)
+    _worker_problem = problem
 
 
 def _run_worker_cell(cell):
@@ -226,8 +226,9 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
 
     Cells are independent; jobs > 1 fans them out to worker processes and
     the merged result is identical to a serial run. The problem is built
-    once per process (no run changes it), not once per cell. A failing cell
-    is reported in `failures` without stopping the rest of the grid.
+    once per grid (no run changes it) and handed to every cell and worker.
+    A failing cell is reported in `failures` without stopping the rest of
+    the grid.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -238,7 +239,7 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
         outcomes = [_run_cell_safe((problem, *cell)) for cell in grid]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_start_worker, initargs=(config.problem,)
+            max_workers=jobs, initializer=_start_worker, initargs=(problem,)
         ) as pool:
             outcomes = list(pool.map(_run_worker_cell, grid))
 

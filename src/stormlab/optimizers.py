@@ -48,10 +48,10 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     _comp_grad,
     _corrected,
     _storm,
+    check_fresh,
     check_recursion,
     comp_grad_update,
     comp_inner_update,
-    finite_sum_estimate,
     finite_sum_update,
     storm_init,
     storm_update,
@@ -422,15 +422,16 @@ def _fs_storm_svrg_steps(problem, T, x, root, alpha, period, eta_const=None):
     v = snapshot.full_grad.copy()
     check_recursion(beta, v, x)
     component_grad = problem.component_grad
+    age = 0  # uses of the current anchor, as `Snapshot.age` counts them
     sum_sq = 0.0
 
     def step(t, x, x_prev):
-        nonlocal v, snapshot, sum_sq
+        nonlocal v, snapshot, age, sum_sq
         if t > 1:
-            # Refreshing on this schedule keeps every anchor younger than its
-            # period, which is all `svrg_update`'s staleness check asks.
             if t % period == 0:
-                snapshot = take_snapshot(problem, x, period)
+                snapshot, age = take_snapshot(problem, x, period), 0
+            check_fresh(age, period)
+            age += 1
             i = index_rng.index(n)
             v = _corrected(
                 v, beta, component_grad(i, x), component_grad(i, x_prev),

@@ -197,17 +197,20 @@ def test_grid_builds_its_problem_once_and_jobs_keep_bytes(monkeypatch, tmp_path)
         "grid": {"T": [20, 30], "seeds": [1, 2, 3]},
     }
     cfg = parse_config(doc)
-    built = []
+    log = tmp_path / "built.txt"  # pool workers append here too
 
     class Counted(problems.FiniteSumProblem):
         def __init__(self, n, dim, seed):
-            built.append(1)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
             super().__init__(n, dim, seed)
 
     monkeypatch.setitem(problems.FAMILIES, "finite_sum", Counted)
-    result = run_grid(cfg)
-    assert result.ok and len(result.records) == 12
-    assert len(built) == 1
+    for jobs in (1, 2):
+        log.write_text("")
+        result = run_grid(cfg, jobs=jobs)
+        assert result.ok and len(result.records) == 12
+        assert log.read_text().splitlines() == [str(os.getpid())], jobs
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     outputs = []

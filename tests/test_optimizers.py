@@ -553,7 +553,7 @@ def test_fs_storm_writes_its_table_in_place(monkeypatch):
 
 
 # The checked public forms the step rules must not call per step.
-CHECKED_ONCE = ("storm_update", "comp_grad_update", "finite_sum_estimate", "svrg_update",
+CHECKED_ONCE = ("storm_update", "comp_grad_update", "finite_sum_update", "svrg_update",
                 "ada_lr", "finite_sum_lr")
 
 

@@ -3,11 +3,13 @@
 Runs `bench/run.py --trace 0` on every workload for two checkouts of
 stormlab, alternating which side runs first from pair to pair, keeps the
 final JSON line of each run, and writes per-workload medians and quartiles
-of every end-to-end metric, the change's wins per pair, the machine and
-(optionally) the wall time of acceptance criteria 6-9 in each checkout:
+of every end-to-end metric, the change's wins per pair, the machine and the
+wall time of acceptance criteria 6-9 in each checkout:
 
     python3 tools/bench_record.py --parent ../parent --change . \\
-        --pairs 5 --seeds 1 7 --tier1 --out BENCH_6.json
+        --pairs 5 --seeds 1 7 --out BENCH_6.json
+
+Every run uses bench/run.py's own default run length.
 
 Each checkout runs its own `bench/` against its own `src/`, so compare two
 checkouts whose `bench/` directories are identical.
@@ -62,9 +64,9 @@ def source_digest(checkout) -> str:
     return h.hexdigest()
 
 
-def run_bench(checkout, workload, seed, seconds) -> dict:
+def run_bench(checkout, workload, seed) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -124,12 +126,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--tier1", action="store_true",
-                        help="also time acceptance criteria 6-9 in both checkouts")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -137,7 +135,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     runs = {}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         for seed in args.seeds:
             key = f"{workload} seed {seed}"
             runs[key] = []
@@ -145,7 +143,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 result = {}
                 for side in order:
-                    result[side] = run_bench(checkouts[side], workload, seed, args.seconds)
+                    result[side] = run_bench(checkouts[side], workload, seed)
                     print(f"{key} pair {pair + 1} {side}: "
                           + json.dumps({m: round(v["value"], 4)
                                         for m, v in result[side]["metrics"].items()}),
@@ -155,14 +153,13 @@ def main(argv=None) -> int:
     doc = {
         "recorded": time.strftime("%Y-%m-%d", time.gmtime()),
         "machine": machine_block(),
-        "command": f"bench/run.py --trace 0 --seconds {args.seconds:g}",
+        "command": "bench/run.py --trace 0",
         "pairs": args.pairs,
         "order": "alternating: parent first in odd-numbered pairs",
         "sources": {side: {"src_sha256": source_digest(path)} for side, path in checkouts.items()},
         "workloads": summarize(runs),
+        "tier1_criteria_s": {side: tier1_criteria(path) for side, path in checkouts.items()},
     }
-    if args.tier1:
-        doc["tier1_criteria_s"] = {side: tier1_criteria(path) for side, path in checkouts.items()}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
