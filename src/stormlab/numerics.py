@@ -26,9 +26,10 @@ _UINT64_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
 # Draws per buffer refill. A single draw of more than MAX_BUFFERED values
 # bypasses the buffer, so a buffer never holds more than BLOCK * MAX_BUFFERED
-# doubles.
+# doubles. 110 values is the inner draw of the 10 x 10 compositional problem,
+# inner_dim * (1 + dim), the largest per-step draw of the shipped instances.
 BLOCK = 64
-MAX_BUFFERED = 128
+MAX_BUFFERED = 110
 
 
 def as_vector(values) -> Vector:
