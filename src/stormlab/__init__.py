@@ -31,7 +31,6 @@ from .estimators import (
     take_snapshot,
 )
 from .harness import (
-    TRACE_HEADER,
     ExperimentConfig,
     GridResult,
     SummaryRow,

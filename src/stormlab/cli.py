@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (
+from .harness import (  # noqa: F401 - bench/tracer.py wraps write_outputs here
     load_config,
     load_summary,
     run_grid,
@@ -29,9 +29,8 @@ def _cmd_run(args) -> int:
         print("run: a config path is required (positional or --config)", file=sys.stderr)
         return 2
     config = load_config(path)
-    result = run_grid(config, jobs=args.jobs)
     out_dir = args.out or config.out_dir or "runs"
-    write_outputs(result, config, out_dir, thin=args.thin)
+    result = run_grid(config, jobs=args.jobs, out_dir=out_dir, thin=args.thin)
     for row in result.rows:
         print(
             f"{row.algorithm} {row.problem} T={row.T} seeds={row.n_seeds} "

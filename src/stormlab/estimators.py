@@ -61,7 +61,7 @@ def _storm(v_prev, beta, grad_new, grad_old):
 
 
 def _comp_grad(v_prev, beta, outer_new, jac_new, outer_old, jac_old):
-    return _storm(v_prev, beta, jac_new.T @ outer_new, jac_old.T @ outer_old)
+    return _storm(v_prev, beta, jac_new.T.dot(outer_new), jac_old.T.dot(outer_old))
 
 
 def _corrected(v_prev, beta, grad_new, grad_old, sample, mean):

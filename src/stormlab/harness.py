@@ -3,15 +3,18 @@
 A config names one problem, a list of algorithms, and a grid of horizons
 and seeds. Every (algorithm, T, seed) cell is an independent pure function
 of the config, so cells may run in parallel and reruns are byte-identical.
+`run_grid(config, out_dir=...)` writes each finished cell's trace while the
+rest of the grid runs, then the summary and plot files after the last
+cell; `write_outputs` writes the same files from an in-memory result.
 Floats in the CSV outputs are written with 17 significant digits, which
 round-trips float64 losslessly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -20,23 +23,23 @@ import numpy as np
 
 from . import problems
 from .analysis import fit_loglog_slope, prefix_power_sum_bounds, summarize
-from .numerics import RngStream
+from .numerics import RngStream, whole
 from .optimizers import RunRecord, check_run, run_algorithm
-
-TRACE_HEADER = "t,f,grad_norm,v_norm_sq,eta,beta,est_error"
 
 
 def _write_csv(path, columns: dict, thin: int = 1):
     """Write equal-length columns (name -> values) as CSV, keeping every
-    `thin`-th row: floats with 17 significant digits, everything else bare."""
-    cells = []
-    for values in columns.values():
-        values = np.asarray(values)[::thin]
-        fmt = "{:.17g}".format if values.dtype.kind == "f" else str
-        cells.append(map(fmt, values.tolist()))
-    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+    `thin`-th row: floats with 17 significant digits, everything else bare.
+
+    The body is one `%` over a repeated row template; `'%.17g' % x` and
+    `'{:.17g}'.format(x)` are the same C routine, and `'%s' % x` is `str(x)`.
+    """
+    values = [np.asarray(v)[::thin] for v in columns.values()]
+    row = ",".join("%.17g" if v.dtype.kind == "f" else "%s" for v in values) + "\n"
+    cells = itertools.chain.from_iterable(zip(*(v.tolist() for v in values)))
+    body = (row * len(values[0])) % tuple(cells) if values else ""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n" + body)
 
 
 @dataclass
@@ -66,16 +69,6 @@ def _require_keys(mapping, allowed, where):
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _whole(value, what):
-    """value as an int; a bool, a string or a number with a fraction raises
-    ValueError naming `what` instead of being truncated."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{what} must be a whole number, got {value!r}")
-
-
 def _parse_algorithm(entry: dict, problem_name: str) -> dict:
     if "name" not in entry:
         raise ValueError("algorithm entry needs a 'name' field")
@@ -93,7 +86,7 @@ def parse_config(doc) -> ExperimentConfig:
     'algorithms' must be present, T, seeds and thin must be whole numbers
     (never bools; 10.0 is 10, 10.5 is an error), seeds must be distinct, and all
     algorithm/problem parameters are range-checked here rather than deep in
-    a grid cell.
+    a grid cell. The problem is checked by `problems.check_spec`, not built.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
@@ -104,8 +97,7 @@ def parse_config(doc) -> ExperimentConfig:
         if key not in doc:
             raise ValueError(f"config is missing '{key}'")
 
-    problem_spec = dict(doc["problem"])
-    problems.from_spec(problem_spec)  # full validation, instance discarded
+    problem_spec = problems.check_spec(dict(doc["problem"]))
     problem_name = problem_spec["name"]
 
     if ("algorithm" in doc) == ("algorithms" in doc):
@@ -125,13 +117,13 @@ def parse_config(doc) -> ExperimentConfig:
     if "T" not in grid or "seeds" not in grid:
         raise ValueError("grid needs both 'T' and 'seeds'")
     T_grid = grid["T"] if isinstance(grid["T"], list) else [grid["T"]]
-    T_grid = [_whole(t, "grid T value") for t in T_grid]
+    T_grid = [whole(t, "grid T value") for t in T_grid]
     if not T_grid or any(t < 1 for t in T_grid):
         raise ValueError(f"grid T values must be integers >= 1, got {T_grid}")
     if len(set(T_grid)) != len(T_grid):
         raise ValueError(f"grid T values must be distinct, got {T_grid}")
     seeds = grid["seeds"] if isinstance(grid["seeds"], list) else [grid["seeds"]]
-    seeds = [_whole(s, "grid seed") for s in seeds]
+    seeds = [whole(s, "grid seed") for s in seeds]
     if not seeds:
         raise ValueError("grid needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -145,7 +137,7 @@ def parse_config(doc) -> ExperimentConfig:
         out_dir = output.get("directory")
         if out_dir is not None:
             out_dir = str(out_dir)
-        thin = _whole(output.get("thin", 1), "output thin")
+        thin = whole(output.get("thin", 1), "output thin")
         if thin < 1:
             raise ValueError(f"thin must be >= 1, got {thin}")
 
@@ -221,7 +213,7 @@ def _run_worker_cell(cell):
     return _run_cell_safe((_worker_problem, *cell))
 
 
-def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
+def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None, thin=None) -> GridResult:
     """Run every (algorithm, T, seed) cell and aggregate summaries.
 
     Cells are independent; jobs > 1 fans them out to worker processes and
@@ -229,29 +221,39 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
     once per grid (no run changes it) and handed to every cell and worker.
     A failing cell is reported in `failures` without stopping the rest of
     the grid.
+
+    With `out_dir`, the files `write_outputs(result, config, out_dir, thin)`
+    would write are written here instead: each finished cell's trace as
+    soon as it and every cell before it in grid order are done, while the
+    pool runs the rest, and the summary and plot files after the last cell.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if out_dir is not None:
+        thin = _trace_thin(config, thin)
+        os.makedirs(out_dir, exist_ok=True)
     grid = list(itertools.product(config.algorithms, config.T_grid, config.seeds))
     cells = [(algo["label"], T, seed) for algo, T, seed in grid]
     problem = problems.from_spec(config.problem)
-    if jobs == 1:
-        outcomes = [_run_cell_safe((problem, *cell)) for cell in grid]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_start_worker, initargs=(problem,)
-        ) as pool:
-            outcomes = list(pool.map(_run_worker_cell, grid))
 
     result = GridResult(cells=cells, records=[])
     by_group = {}
-    for cell, (ok, value) in zip(cells, outcomes):
-        if ok:
-            result.records.append(value)
-            by_group.setdefault((cell[0], cell[1]), []).append(value)
+    with contextlib.ExitStack() as stack:
+        if jobs == 1:
+            outcomes = (_run_cell_safe((problem, *cell)) for cell in grid)
         else:
-            result.records.append(None)
-            result.failures.append({"cell": _cell_name(cell, config), "error": value})
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs, initializer=_start_worker, initargs=(problem,)))
+            outcomes = pool.map(_run_worker_cell, grid)
+        for cell, (ok, value) in zip(cells, outcomes):
+            if ok:
+                result.records.append(value)
+                by_group.setdefault((cell[0], cell[1]), []).append(value)
+                if out_dir is not None:
+                    write_trace_csv(value, _trace_path(out_dir, cell, config), thin=thin)
+            else:
+                result.records.append(None)
+                result.failures.append({"cell": _cell_name(cell, config), "error": value})
 
     # Groups appear in grid order; one without a finished cell never appears.
     for (label, T), group in by_group.items():
@@ -260,6 +262,8 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> GridResult:
             SummaryRow(algorithm=label, problem=config.problem["name"], T=T, **stats)
         )
     result.slopes = fit_slopes(result.rows)
+    if out_dir is not None:
+        _write_summaries(result, config, out_dir)
     return result
 
 
@@ -294,6 +298,18 @@ def _cell_name(cell, config) -> str:
     return f"{label}__{config.problem['name']}__T{T}__seed{seed}"
 
 
+def _trace_path(out_dir, cell, config):
+    return os.path.join(out_dir, f"trace__{_cell_name(cell, config)}.csv")
+
+
+def _trace_thin(config, thin):
+    """The trace thinning to write with: `thin`, else the config's."""
+    thin = config.thin if thin is None else int(thin)
+    if thin < 1:
+        raise ValueError(f"thin must be >= 1, got {thin}")
+    return thin
+
+
 def write_trace_csv(record: RunRecord, path, thin: int = 1):
     """One CSV per run; rows with (t - 1) % thin == 0 are retained."""
     if thin < 1:
@@ -306,18 +322,21 @@ def write_outputs(result: GridResult, config: ExperimentConfig, out_dir, thin=No
 
     Returns the list of written paths. Summary statistics always come from
     the full in-memory traces; thinning only affects the trace files.
+    `run_grid(config, out_dir=...)` writes the same files as the grid runs.
     """
-    thin = config.thin if thin is None else int(thin)
+    thin = _trace_thin(config, thin)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-
     for cell, record in zip(result.cells, result.records):
-        if record is None:
-            continue
-        path = os.path.join(out_dir, f"trace__{_cell_name(cell, config)}.csv")
-        write_trace_csv(record, path, thin=thin)
-        paths.append(path)
+        if record is not None:
+            paths.append(_trace_path(out_dir, cell, config))
+            write_trace_csv(record, paths[-1], thin=thin)
+    return paths + _write_summaries(result, config, out_dir)
 
+
+def _write_summaries(result: GridResult, config: ExperimentConfig, out_dir) -> list:
+    """Write summary.csv, summary.json and the plot CSVs; returns their paths."""
+    paths = []
     names = [f.name for f in fields(SummaryRow)]
     summary_csv = os.path.join(out_dir, "summary.csv")
     _write_csv(summary_csv, {name: [getattr(r, name) for r in result.rows] for name in names})

@@ -16,6 +16,8 @@ the same reason: one numpy call per block instead of one per step.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 
 import numpy as np
 
@@ -45,7 +47,25 @@ def as_vector(values) -> Vector:
 def norm_sq(v) -> float:
     """Squared Euclidean norm of v."""
     v = np.asarray(v, dtype=np.float64)
-    return float(np.dot(v, v))
+    return float(v.dot(v))
+
+
+def whole(value, what) -> int:
+    """value as an int; a bool, a string or a number with a fraction raises
+    ValueError naming `what` instead of being truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
+def real(value, what):
+    """value, unchanged, once it is known to be a finite real number; a bool,
+    a string or a non-finite value raises ValueError naming `what`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return value
+    raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
 def gaussian(rng: "RngStream", dim: int, sigma: float) -> Vector:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, Vector, as_vector, gaussian
+from .numerics import RngStream, Vector, as_vector, gaussian, real, whole
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
@@ -109,13 +109,21 @@ class NoisyQuadratic(StochasticProblem):
     sample is sigma**2 * dim.
     """
 
-    def __init__(self, dim, L, mu, sigma, seed):
+    @staticmethod
+    def check(dim, L, mu, sigma, seed):
+        """The constructor's arguments, range-checked, with whole numbers as ints."""
+        dim, seed = whole(dim, "dim"), whole(seed, "seed")
+        L, mu, sigma = real(L, "L"), real(mu, "mu"), real(sigma, "sigma")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         if not 0 < mu <= L:
             raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
         if sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {sigma}")
+        return dim, L, mu, sigma, seed
+
+    def __init__(self, dim, L, mu, sigma, seed):
+        dim, L, mu, sigma, seed = self.check(dim, L, mu, sigma, seed)
         root = RngStream(seed).child("noisy_quadratic")
         gen = root.child("data").generator
         # Rotate an evenly spaced spectrum by a seeded orthogonal matrix.
@@ -126,7 +134,6 @@ class NoisyQuadratic(StochasticProblem):
         self.A = 0.5 * (self.A + self.A.T)  # symmetrize against rounding
         self.b = gen.standard_normal(dim)
         self.dim = dim
-        self.mu = float(mu)
         self.L = float(L)
         self.sigma = float(sigma)
         self.x0 = root.child("x0").generator.standard_normal(dim)
@@ -141,14 +148,14 @@ class NoisyQuadratic(StochasticProblem):
             "L": float(L),
             "mu": float(mu),
             "sigma": float(sigma),
-            "seed": int(seed),
+            "seed": seed,
         }
 
     def objective(self, x) -> float:
         return 0.5 * float(x @ (self.A @ x)) + float(self.b @ x)
 
     def true_grad(self, x) -> Vector:
-        return self.A @ x + self.b
+        return self.A.dot(x) + self.b
 
     def value_and_grad(self, X):
         ax = X @ self.A  # A is exactly symmetric
@@ -163,11 +170,19 @@ class NonconvexSmooth(StochasticProblem):
     and nonconvex in every coordinate away from zero.
     """
 
-    def __init__(self, dim, sigma, seed, coeffs=None, epsilon=1e-2):
+    @staticmethod
+    def check(dim, sigma, seed):
+        """The required constructor arguments, range-checked, with whole
+        numbers as ints."""
+        dim, sigma, seed = whole(dim, "dim"), real(sigma, "sigma"), whole(seed, "seed")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         if sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {sigma}")
+        return dim, sigma, seed
+
+    def __init__(self, dim, sigma, seed, coeffs=None, epsilon=1e-2):
+        dim, sigma, seed = self.check(dim, sigma, seed)
         if epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         root = RngStream(seed).child("nonconvex_smooth")
@@ -186,7 +201,7 @@ class NonconvexSmooth(StochasticProblem):
             "name": "nonconvex_smooth",
             "dim": dim,
             "sigma": float(sigma),
-            "seed": int(seed),
+            "seed": seed,
         }
 
     def objective(self, x) -> float:
@@ -219,9 +234,16 @@ class FiniteSumProblem(StochasticProblem):
     component gradients.
     """
 
-    def __init__(self, n, dim, seed):
+    @staticmethod
+    def check(n, dim, seed):
+        """The constructor's arguments, range-checked, as ints."""
+        n, dim, seed = whole(n, "n"), whole(dim, "dim"), whole(seed, "seed")
         if n < 1 or dim < 1:
             raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
+        return n, dim, seed
+
+    def __init__(self, n, dim, seed):
+        n, dim, seed = self.check(n, dim, seed)
         root = RngStream(seed).child("finite_sum")
         gen = root.child("data").generator
         self.features = gen.standard_normal((n, dim)) / np.sqrt(dim)
@@ -240,7 +262,7 @@ class FiniteSumProblem(StochasticProblem):
         self.L = float(2.0 * row_sq.max())  # |l''| <= 2
         self.x0 = root.child("x0").generator.standard_normal(dim)
         self.delta_f = self.objective(self.x0)  # losses are bounded below by 0
-        self.spec = {"name": "finite_sum", "n": n, "dim": dim, "seed": int(seed)}
+        self.spec = {"name": "finite_sum", "n": n, "dim": dim, "seed": seed}
 
     @staticmethod
     def _loss(r):
@@ -296,7 +318,7 @@ class FiniteSumProblem(StochasticProblem):
             raise IndexError(f"component index {i} outside [0, {self.n})")
         a = self.features[i]
         # Python-float scalars: the same IEEE operations as numpy scalars, faster.
-        return self._dloss(float(a @ x) - float(self.targets[i])) * a
+        return self._dloss(float(a.dot(x)) - float(self.targets[i])) * a
 
     def draw(self, rng: RngStream) -> ComponentToken:
         return ComponentToken(rng.index(self.n))
@@ -314,13 +336,22 @@ class CompositionalProblem:
     N(0, sigma^2). The exact gradient is M'(Mx + c).
     """
 
-    def __init__(self, dim, inner_dim, sigma, seed, matrix=None, offset=None):
+    @staticmethod
+    def check(dim, inner_dim, sigma, seed):
+        """The required constructor arguments, range-checked, with whole
+        numbers as ints."""
+        dim, inner_dim = whole(dim, "dim"), whole(inner_dim, "inner_dim")
+        sigma, seed = real(sigma, "sigma"), whole(seed, "seed")
         if dim < 1 or inner_dim < 1:
             raise ValueError(
                 f"need dim >= 1 and inner_dim >= 1, got dim={dim}, inner_dim={inner_dim}"
             )
         if sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {sigma}")
+        return dim, inner_dim, sigma, seed
+
+    def __init__(self, dim, inner_dim, sigma, seed, matrix=None, offset=None):
+        dim, inner_dim, sigma, seed = self.check(dim, inner_dim, sigma, seed)
         root = RngStream(seed).child("compositional")
         gen = root.child("data").generator
         if matrix is None:
@@ -347,7 +378,7 @@ class CompositionalProblem:
             "dim": dim,
             "inner_dim": inner_dim,
             "sigma": float(sigma),
-            "seed": int(seed),
+            "seed": seed,
         }
 
     def inner_true(self, x) -> Vector:
@@ -378,7 +409,7 @@ class CompositionalProblem:
         return OuterToken(gaussian(rng, self.inner_dim, self.sigma))
 
     def inner_value(self, token: InnerToken, x) -> Vector:
-        return self.matrix @ x + self.offset + token.value_noise
+        return self.matrix.dot(x) + self.offset + token.value_noise
 
     def inner_jac(self, token: InnerToken, x) -> np.ndarray:
         """Sampled Jacobian, shaped (inner_dim, dim); x-independent here."""
@@ -409,11 +440,13 @@ make_finite_sum = FiniteSumProblem
 make_compositional = CompositionalProblem
 
 
-def from_spec(spec: dict):
-    """Build a problem from a config mapping with a `name` key.
+def check_spec(spec: dict) -> dict:
+    """The spec with its fields checked as `from_spec` would, without
+    building the problem; whole-number fields come back as ints.
 
-    Unknown names and unknown or missing fields raise ValueError, so config
-    typos fail loudly instead of silently picking defaults.
+    Unknown names, unknown or missing fields and out-of-range values raise
+    ValueError, so config typos fail loudly instead of silently picking
+    defaults.
     """
     if "name" not in spec:
         raise ValueError("problem spec needs a 'name' field")
@@ -423,18 +456,25 @@ def from_spec(spec: dict):
             f"unknown problem '{name}', expected one of {sorted(FAMILIES)}"
         )
     fields = {k: v for k, v in spec.items() if k != "name"}
-    allowed = {
-        p.name
-        for p in inspect.signature(FAMILIES[name]).parameters.values()
-        if p.default is p.empty
-    }
-    unknown = set(fields) - allowed
+    cls = FAMILIES[name]
+    required = [
+        p.name for p in inspect.signature(cls).parameters.values() if p.default is p.empty
+    ]
+    unknown = set(fields) - set(required)
     if unknown:
         raise ValueError(f"unknown fields for problem '{name}': {sorted(unknown)}")
-    missing = allowed - set(fields)
+    missing = set(required) - set(fields)
     if missing:
         raise ValueError(f"missing fields for problem '{name}': {sorted(missing)}")
-    return FAMILIES[name](**fields)
+    checked = cls.check(**fields)
+    return {"name": name, **dict(zip(required, checked))}
+
+
+def from_spec(spec: dict):
+    """Build a problem from a config mapping with a `name` key, checked by
+    `check_spec`."""
+    fields = check_spec(spec)
+    return FAMILIES[fields.pop("name")](**fields)
 
 
 def grad_check(problem, x, h=1e-5) -> float:

@@ -1,13 +1,18 @@
 import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormlab import problems
 from stormlab.cli import main as cli_main
 from stormlab.harness import (
     CHECK_PROBLEMS,
+    _write_csv,
     GridResult,
     SummaryRow,
     load_summary,
@@ -111,6 +116,55 @@ def test_parse_rejects_non_integral_counts_naming_the_key():
     cfg = parse_config(_config(grid={"T": [40.0, 80], "seeds": [1.0]}, output={"thin": 2.0}))
     assert (cfg.T_grid, cfg.seeds, cfg.thin) == ([40, 80], [1], 2)
     assert all(type(v) is int for v in cfg.T_grid + cfg.seeds + [cfg.thin])
+
+
+# Each of these used to run as something other than what it says (seed 7.9
+# as 7, sigma true as 1.0) or to fail deep in the constructor (n 100.5).
+BAD_PROBLEM_FIELDS = (
+    ({"name": "noisy_quadratic", "dim": 4, "L": 5.0, "mu": 1.0, "sigma": 0.5}, "seed",
+     (7.9, True, "3", None)),
+    ({"name": "noisy_quadratic", "dim": 4, "L": 5.0, "mu": 1.0, "seed": 3}, "sigma",
+     (True, "0.5", math.nan, math.inf)),
+    ({"name": "noisy_quadratic", "dim": 4, "mu": 1.0, "sigma": 0.5, "seed": 3}, "L",
+     (False, -math.inf)),
+    ({"name": "nonconvex_smooth", "sigma": 1.0, "seed": 2}, "dim", (2.5, "4", True)),
+    ({"name": "finite_sum", "dim": 3, "seed": 4}, "n", (100.5, False, "100")),
+    ({"name": "compositional", "dim": 3, "sigma": 1.0, "seed": 5}, "inner_dim", (1.5, True)),
+)
+
+
+def test_parse_rejects_problem_fields_naming_the_field():
+    for partial, field, bads in BAD_PROBLEM_FIELDS:
+        for bad in bads:
+            spec = dict(partial, **{field: bad})
+            with pytest.raises(ValueError, match=f"^{field} must be a "):
+                parse_config(_config(problem=spec))
+            # the constructor runs the same check
+            args = {k: v for k, v in spec.items() if k != "name"}
+            with pytest.raises(ValueError, match=f"^{field} must be a "):
+                problems.FAMILIES[spec["name"]](**args)
+
+
+def test_parse_stores_whole_problem_fields_as_ints():
+    doc = _config(problem={"name": "finite_sum", "n": 100.0, "dim": 3.0, "seed": 7.0})
+    cfg = parse_config(doc)
+    assert cfg.problem == {"name": "finite_sum", "n": 100, "dim": 3, "seed": 7}
+    assert all(type(cfg.problem[k]) is int for k in ("n", "dim", "seed"))
+    assert json.loads(cfg.to_json())["problem"]["seed"] == 7
+    # real fields are kept as written
+    assert parse_config(_config()).problem == BASE_CONFIG["problem"]
+
+
+def test_parse_checks_the_problem_without_building_it(monkeypatch):
+    def never(self, n, dim, seed):
+        raise AssertionError("parse_config built the problem")
+
+    monkeypatch.setattr(problems.FiniteSumProblem, "__init__", never)
+    doc = _config(problem={"name": "finite_sum", "n": 20_000, "dim": 20, "seed": 1})
+    doc["algorithms"] = [{"name": "fs_storm"}]
+    assert parse_config(doc).problem["n"] == 20_000
+    with pytest.raises(ValueError, match="need n >= 1"):
+        parse_config(dict(doc, problem={"name": "finite_sum", "n": 0, "dim": 20, "seed": 1}))
 
 
 def test_parse_rejects_bad_grid_and_labels():
@@ -222,6 +276,35 @@ def test_grid_builds_its_problem_once_and_jobs_keep_bytes(monkeypatch, tmp_path)
     assert outputs[0] == outputs[1]
 
 
+def _dir_bytes(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_streamed_outputs_match_write_outputs(tmp_path, jobs):
+    # The second grid's sgd cells diverge: they get no trace file, and every
+    # other file is still written.
+    grids = (
+        (_config(grid={"T": [20, 40, 80], "seeds": [1, 2]}), 3, 6 + 6 + 2 + 2),
+        ({"problem": {"name": "noisy_quadratic", "dim": 20, "L": 10.0, "mu": 1.0,
+                      "sigma": 1.0, "seed": 11},
+          "algorithms": [{"name": "sgd", "eta0": 5}, {"name": "ada_storm"}],
+          "grid": {"T": [500, 1000, 2000], "seeds": [1, 2]}}, None, 6 + 2 + 1),
+    )
+    for i, (doc, thin, n_files) in enumerate(grids):
+        cfg = parse_config(doc)
+        streamed, written = tmp_path / f"streamed{i}", tmp_path / f"written{i}"
+        result = run_grid(cfg, jobs=jobs, out_dir=streamed, thin=thin)
+        write_outputs(run_grid(cfg), cfg, written, thin=thin)
+        assert _dir_bytes(streamed) == _dir_bytes(written)
+        assert len(_dir_bytes(streamed)) == n_files
+        failed = {f["cell"] for f in result.failures}
+        traced = {n[len("trace__"):-len(".csv")] for n in os.listdir(streamed)
+                  if n.startswith("trace__")}
+        assert not failed & traced
+        assert len(failed) + len(traced) == len(result.cells)
+
+
 def test_grid_matches_direct_runs(small_result):
     cfg, result = small_result
     quad = make_noisy_quadratic(dim=4, L=5.0, mu=1.0, sigma=0.5, seed=3)
@@ -303,6 +386,53 @@ def test_float_serialization_17_digits(tmp_path, small_result):
     for line in text.splitlines()[1:]:
         for cell in line.split(",")[4:]:
             assert f"{float(cell):.17g}" == cell
+
+
+# Every float64 bit pattern, plus the special values spelled out.
+FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+SPECIAL_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]
+)
+CSV_COLUMNS = {
+    "f": st.one_of(FLOAT_BITS, SPECIAL_FLOATS, st.floats()),
+    "i": st.integers(-(2**63), 2**63 - 1),
+    "s": st.text(alphabet="ab_%s9 .", max_size=6),
+}
+
+
+def _reference_csv(columns, thin):
+    """One format call per value: '{:.17g}' for floats, str otherwise."""
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)[::thin]
+        fmt = "{:.17g}".format if values.dtype.kind == "f" else str
+        cells.append([fmt(v) for v in values.tolist()])
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _csv_tables(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=1, max_size=5))
+    columns = {}
+    for j, kind in enumerate(kinds):
+        values = draw(st.lists(CSV_COLUMNS[kind], min_size=rows, max_size=rows))
+        columns[f"{kind}{j}"] = np.array(values, dtype={"f": float, "i": np.int64}.get(kind, str))
+    return columns
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=_csv_tables(), thin=st.integers(1, 5))
+def test_write_csv_matches_per_value_formatting(csv_dir, columns, thin):
+    path = csv_dir / "table.csv"
+    _write_csv(path, columns, thin)
+    assert path.read_bytes() == _reference_csv(columns, thin).encode()
 
 
 def test_summary_and_plot_csv_bytes(tmp_path):
