@@ -9,7 +9,6 @@ total horizon is ever needed in advance.
 from stormlab import (
     ada_beta,
     ada_lr,
-    doubling_params,
     finite_sum_beta,
     finite_sum_lr,
     make_noisy_quadratic,
@@ -42,7 +41,8 @@ def main():
         print(
             f"  t={t:3d}  beta={rec.beta[t - 1]:.4f}  eta={rec.eta[t - 1]:.4f}"
         )
-    eta, beta, stage, reset = doubling_params(64, 0.3, 5.0)
+    stage, _ = stage_length(64)
+    eta, beta = ada_lr(stage, 0.3, 5.0), ada_beta(stage)
     print(f"law check at t=64, stage sum 5.0: eta={eta:.4f} beta={beta:.4f}")
 
     print()

@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 * numerics    - float64 vectors and label-splittable random streams
-* problems    - synthetic objectives with exact gradients and token oracles
+* problems    - synthetic objectives with exact gradients and replayable oracles
 * estimators  - recursive-momentum gradient estimators (pure transitions)
 * schedules   - step-size and momentum laws
 * optimizers  - run loops producing deterministic trace records
@@ -72,7 +72,6 @@ from .problems import (
 from .schedules import (
     ada_beta,
     ada_lr,
-    doubling_params,
     finite_sum_beta,
     finite_sum_lr,
     stage_length,

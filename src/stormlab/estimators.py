@@ -1,21 +1,22 @@
 """Recursive-momentum gradient estimators as pure state transitions.
 
 Every update takes the previous state plus freshly evaluated gradients and
-returns a new state; nothing here draws randomness or mutates its inputs,
-except `GradientTable.write`, the in-place table step a run loop uses.
-That keeps the transitions enumerable (exact conditional expectations can
-be computed by brute force over the sampling choices) and replayable.
+returns a new state. Nothing here mutates its inputs except
+`GradientTable.write`, the in-place table step a run loop uses, and only
+`storm_init` draws samples, through the problem's oracle. That keeps the
+transitions enumerable (exact conditional expectations can be computed by
+brute force over the sampling choices) and replayable.
 
 `storm_update` is the one recursion every variant runs:
 
     v_new = (1 - beta) * v_prev + beta * grad_new
             + (1 - beta) * (grad_new - grad_old)
 
-where grad_new and grad_old come from the SAME sample evaluated at the new
-and previous iterate. beta = 1 drops all history and returns grad_new. The
-compositional updates run it on inner values and on Jacobian/outer-gradient
-products; the finite-sum updates subtract beta times a zero-mean control
-variate from it.
+where grad_new and grad_old come from the SAME sample (one value returned
+by the problem's `draw`) evaluated at the new and previous iterate. beta = 1
+drops all history and returns grad_new. The compositional updates run it on
+inner values and on Jacobian/outer-gradient products; the finite-sum
+updates subtract beta times a zero-mean control variate from it.
 
 Each public update is its input checks followed by a private unchecked
 core (`_storm`, `_comp_grad`, `_corrected`), and the cores hold the only
@@ -80,8 +81,7 @@ def storm_init(problem, x, batch_size: int, rng) -> Vector:
     x = np.asarray(x, dtype=np.float64)
     total = np.zeros_like(x)
     for _ in range(batch_size):
-        token = problem.draw(rng)
-        total += problem.grad_at(token, x)
+        total += problem.grad_at(problem.draw(rng), x)
     return total / batch_size
 
 
@@ -187,16 +187,6 @@ class GradientTable:
         return table
 
 
-def finite_sum_estimate(
-    v_prev, table: GradientTable, beta: float, i: int, grad_new, grad_old
-) -> Vector:
-    """The new estimate of `finite_sum_update`, without writing the table."""
-    v_prev, grad_new, grad_old, mean = check_recursion(
-        beta, v_prev, grad_new, grad_old, table.mean
-    )
-    return _corrected(v_prev, beta, grad_new, grad_old, table.entries[i], mean)
-
-
 def finite_sum_update(
     v_prev, table: GradientTable, beta: float, i: int, grad_new, grad_old
 ) -> tuple[Vector, GradientTable]:
@@ -209,9 +199,12 @@ def finite_sum_update(
     table has entry i overwritten by grad_new. The correction has zero mean
     under a uniform component choice, so conditional unbiasedness of the
     recursion is preserved. A caller that owns its table gets the same
-    state with `finite_sum_estimate` followed by `table.write(i, grad_new)`.
+    state by computing v_new and then calling `table.write(i, grad_new)`.
     """
-    v_new = finite_sum_estimate(v_prev, table, beta, i, grad_new, grad_old)
+    v_prev, grad_new, grad_old, mean = check_recursion(
+        beta, v_prev, grad_new, grad_old, table.mean
+    )
+    v_new = _corrected(v_prev, beta, grad_new, grad_old, table.entries[i], mean)
     return v_new, table.updated(i, grad_new)
 
 

@@ -293,8 +293,8 @@ def _ada_storm_steps(problem, T, x, root, alpha, doubling=False):
             v = storm_init(problem, x, warmup_batch_size(horizon), init_rng)
             check_recursion(beta, v, x)
         else:
-            token = draw(step_rng)
-            v = _storm(v, beta, grad_at(token, x), grad_at(token, x_prev))
+            sample = draw(step_rng)
+            v = _storm(v, beta, grad_at(sample, x), grad_at(sample, x_prev))
         v_sq = norm_sq(v)
         sum_sq += v_sq
         return v, v_sq, lr(sum_sq), beta
@@ -334,12 +334,12 @@ def _comp_storm_steps(problem, T, x, root, alpha):
     beta = ada_beta(T)
     lr = ada_lr_law(T, alpha)
     batch = warmup_batch_size(T)
-    inner_tokens = [problem.draw_inner(init_inner) for _ in range(batch)]
-    outer_tokens = [problem.draw_outer(init_outer) for _ in range(batch)]
-    u = np.mean([problem.inner_value(tok, x) for tok in inner_tokens], axis=0)
+    inner_samples = [problem.draw_inner(init_inner) for _ in range(batch)]
+    outer_samples = [problem.draw_outer(init_outer) for _ in range(batch)]
+    u = np.mean([problem.inner_value(zeta, x) for zeta in inner_samples], axis=0)
     v = np.mean(
-        [problem.inner_jac(zt, x).T @ problem.outer_grad(xt, u)
-         for zt, xt in zip(inner_tokens, outer_tokens)],
+        [problem.inner_jac(zeta, x).T @ problem.outer_grad(xi, u)
+         for zeta, xi in zip(inner_samples, outer_samples)],
         axis=0,
     )
     check_recursion(beta, v, x)
@@ -455,9 +455,12 @@ def run_fs_storm_svrg(
     gradient; the snapshot is refreshed every `period` steps (default n).
     eta follows the adaptive finite-sum law unless eta_const pins it.
     """
+    # Only a finite-sum spec has an n; any other family leaves period unset
+    # and fails the family check in `_run` like every other runner.
     return _run(
         "fs_storm_svrg", problem, T, seed, x0, keep_iterates, _fs_storm_svrg_steps,
-        alpha=alpha, period=problem.n if period is None else period, eta_const=eta_const,
+        alpha=alpha, period=problem.spec.get("n") if period is None else period,
+        eta_const=eta_const,
     )
 
 
@@ -487,8 +490,8 @@ def _storm_original_steps(problem, T, x, root, k, w, c):
 
     def step(t, x, x_prev):
         nonlocal v, grad_sum
-        token = problem.draw(step_rng)
-        g_new = problem.grad_at(token, x)
+        sample = problem.draw(step_rng)
+        g_new = problem.grad_at(sample, x)
         grad_sum += norm_sq(g_new)
         eta, beta = storm_original_params(k, w, c, grad_sum)
         if t == 1:
@@ -496,7 +499,7 @@ def _storm_original_steps(problem, T, x, root, k, w, c):
         else:
             # c * eta**2 can underflow to 0; the smallest positive beta gives
             # the same v, since 1 - beta rounds to 1.
-            v = _storm(v, beta or math.ulp(0.0), g_new, problem.grad_at(token, x_prev))
+            v = _storm(v, beta or math.ulp(0.0), g_new, problem.grad_at(sample, x_prev))
         return v, norm_sq(v), eta, beta
 
     return step

@@ -1,9 +1,10 @@
 """Synthetic stochastic problems with exact gradients and replayable oracles.
 
-Each oracle freezes its randomness inside a token at draw time. Evaluating
-the same token at two different points is therefore deterministic, which is
-what the recursive-momentum estimators need: the two-point gradient
-difference under a shared sample has no fresh noise in it.
+An oracle's draw returns the sample itself: a noise array, a component
+index, or a pair of noise arrays. Evaluating one drawn sample at two
+different points is therefore deterministic, which is what the
+recursive-momentum estimators need: the two-point gradient difference
+under a shared sample has no fresh noise in it.
 
 Four families are provided:
 
@@ -21,7 +22,6 @@ central finite differences.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,47 +29,19 @@ from .numerics import RngStream, Vector, as_vector, gaussian, real, whole
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
+EPSILON = 1e-2  # weight of the nonconvex family's quadratic term
 # The finite-sum measurement walks its components in chunks of this many
 # doubles per (block rows x chunk) temporary, so a block of iterates never
 # needs a (rows, n) array.
 MEASURE_CHUNK_DOUBLES = 16_384
 
 
-@dataclass(frozen=True)
-class GradientToken:
-    """Realized additive gradient noise, fixed at draw time."""
-
-    noise: np.ndarray
-
-
-@dataclass(frozen=True)
-class ComponentToken:
-    """Sampled component index for finite-sum oracles (0-based)."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class InnerToken:
-    """Realized noise for one inner-map sample: values and Jacobian entries."""
-
-    value_noise: np.ndarray
-    jac_noise: np.ndarray
-
-
-@dataclass(frozen=True)
-class OuterToken:
-    """Realized additive noise for one outer-gradient sample."""
-
-    noise: np.ndarray
-
-
 class StochasticProblem:
     """Smooth objective with an unbiased sampled-gradient oracle.
 
     Subclasses fill in `objective` and `true_grad` at one point and
-    `value_and_grad` on a block of points; the shared oracle adds token
-    noise on top of the exact gradient, so a token reused at two points
+    `value_and_grad` on a block of points; the shared oracle adds the drawn
+    noise on top of the exact gradient, so one draw evaluated at two points
     differs only through the exact gradients.
     """
 
@@ -94,11 +66,11 @@ class StochasticProblem:
         """
         raise NotImplementedError
 
-    def draw(self, rng: RngStream) -> GradientToken:
-        return GradientToken(gaussian(rng, self.dim, self.sigma))
+    def draw(self, rng: RngStream) -> Vector:
+        return gaussian(rng, self.dim, self.sigma)
 
-    def grad_at(self, token: GradientToken, x) -> Vector:
-        return self.true_grad(x) + token.noise
+    def grad_at(self, noise, x) -> Vector:
+        return self.true_grad(x) + noise
 
 
 class NoisyQuadratic(StochasticProblem):
@@ -165,15 +137,15 @@ class NoisyQuadratic(StochasticProblem):
 class NonconvexSmooth(StochasticProblem):
     """f(x) = sum_j c_j*log(1 + x_j^2) + (epsilon/2)*||x||^2 with c_j > 0.
 
+    The c_j are drawn uniformly from [0.5, 1.5] and epsilon is EPSILON.
     Bounded below by 0 (attained at the origin, the unique stationary
-    point when epsilon > 0), smooth with constant max_j(2 c_j) + epsilon,
-    and nonconvex in every coordinate away from zero.
+    point), smooth with constant max_j(2 c_j) + epsilon, and nonconvex in
+    every coordinate away from zero.
     """
 
     @staticmethod
     def check(dim, sigma, seed):
-        """The required constructor arguments, range-checked, with whole
-        numbers as ints."""
+        """The constructor's arguments, range-checked, with whole numbers as ints."""
         dim, sigma, seed = whole(dim, "dim"), real(sigma, "sigma"), whole(seed, "seed")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
@@ -181,17 +153,11 @@ class NonconvexSmooth(StochasticProblem):
             raise ValueError(f"sigma must be nonnegative, got {sigma}")
         return dim, sigma, seed
 
-    def __init__(self, dim, sigma, seed, coeffs=None, epsilon=1e-2):
+    def __init__(self, dim, sigma, seed):
         dim, sigma, seed = self.check(dim, sigma, seed)
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         root = RngStream(seed).child("nonconvex_smooth")
-        if coeffs is None:
-            coeffs = root.child("data").generator.uniform(0.5, 1.5, dim)
-        self.coeffs = as_vector(coeffs)
-        if self.coeffs.shape != (dim,) or np.any(self.coeffs <= 0):
-            raise ValueError("coeffs must be positive and match dim")
-        self.epsilon = float(epsilon)
+        self.coeffs = root.child("data").generator.uniform(0.5, 1.5, dim)
+        self.epsilon = EPSILON
         self.dim = dim
         self.sigma = float(sigma)
         self.L = float(2.0 * self.coeffs.max() + self.epsilon)
@@ -229,8 +195,8 @@ class FiniteSumProblem(StochasticProblem):
     """Average of n robust-regression losses F(x) = mean_i l(a_i'x - b_i).
 
     l(r) = r^2 / (1 + r^2) saturates on outliers, so the landscape is
-    nonconvex. Sampling draws a uniform component index; the oracle token
-    is that index, and `full_grad` is the exact arithmetic mean of the
+    nonconvex. Sampling draws a uniform component index, which the oracle
+    evaluates, and `full_grad` is the exact arithmetic mean of the
     component gradients.
     """
 
@@ -320,26 +286,25 @@ class FiniteSumProblem(StochasticProblem):
         # Python-float scalars: the same IEEE operations as numpy scalars, faster.
         return self._dloss(float(a.dot(x)) - float(self.targets[i])) * a
 
-    def draw(self, rng: RngStream) -> ComponentToken:
-        return ComponentToken(rng.index(self.n))
+    def draw(self, rng: RngStream) -> int:
+        return rng.index(self.n)
 
-    def grad_at(self, token: ComponentToken, x) -> Vector:
-        return self.component_grad(token.index, x)
+    def grad_at(self, i, x) -> Vector:
+        return self.component_grad(i, x)
 
 
 class CompositionalProblem:
     """F(x) = f(g(x)) with g(x) = Mx + c and f(u) = ||u||^2 / 2.
 
-    Inner samples carry additive noise on both the map values and the
-    Jacobian entries (independent of each other within a token); outer
-    samples carry additive gradient noise. All noises are per-entry
+    M and c are drawn from the seed. Inner samples carry additive noise on
+    both the map values and the Jacobian entries (independent of each other
+    within a sample); outer samples carry additive gradient noise. All noises are per-entry
     N(0, sigma^2). The exact gradient is M'(Mx + c).
     """
 
     @staticmethod
     def check(dim, inner_dim, sigma, seed):
-        """The required constructor arguments, range-checked, with whole
-        numbers as ints."""
+        """The constructor's arguments, range-checked, with whole numbers as ints."""
         dim, inner_dim = whole(dim, "dim"), whole(inner_dim, "inner_dim")
         sigma, seed = real(sigma, "sigma"), whole(seed, "seed")
         if dim < 1 or inner_dim < 1:
@@ -350,22 +315,12 @@ class CompositionalProblem:
             raise ValueError(f"sigma must be nonnegative, got {sigma}")
         return dim, inner_dim, sigma, seed
 
-    def __init__(self, dim, inner_dim, sigma, seed, matrix=None, offset=None):
+    def __init__(self, dim, inner_dim, sigma, seed):
         dim, inner_dim, sigma, seed = self.check(dim, inner_dim, sigma, seed)
         root = RngStream(seed).child("compositional")
         gen = root.child("data").generator
-        if matrix is None:
-            matrix = gen.standard_normal((inner_dim, dim)) / np.sqrt(dim)
-        self.matrix = np.array(matrix, dtype=np.float64)
-        if self.matrix.shape != (inner_dim, dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match ({inner_dim}, {dim})"
-            )
-        if offset is None:
-            offset = gen.standard_normal(inner_dim)
-        self.offset = as_vector(offset)
-        if self.offset.shape != (inner_dim,):
-            raise ValueError("offset must have length inner_dim")
+        self.matrix = gen.standard_normal((inner_dim, dim)) / np.sqrt(dim)
+        self.offset = gen.standard_normal(inner_dim)
         self.dim = dim
         self.inner_dim = inner_dim
         self.sigma = float(sigma)
@@ -396,35 +351,36 @@ class CompositionalProblem:
         u = X @ self.matrix.T + self.offset
         return 0.5 * np.einsum("ij,ij->i", u, u), u @ self.matrix
 
-    def draw_inner(self, rng: RngStream) -> InnerToken:
-        # Value and Jacobian noises are independent halves of one token, read
-        # in that order as one draw of inner_dim * (1 + dim) values.
+    def draw_inner(self, rng: RngStream) -> tuple[Vector, np.ndarray]:
+        """One inner sample: (value noise (inner_dim,), Jacobian noise
+        (inner_dim, dim)), independent halves read in that order as one draw
+        of inner_dim * (1 + dim) values."""
         m = self.inner_dim
         if self.sigma == 0.0:
-            return InnerToken(np.zeros(m), np.zeros((m, self.dim)))
+            return np.zeros(m), np.zeros((m, self.dim))
         noise = rng.normals(m * (1 + self.dim), self.sigma)
-        return InnerToken(noise[:m], noise[m:].reshape(m, self.dim))
+        return noise[:m], noise[m:].reshape(m, self.dim)
 
-    def draw_outer(self, rng: RngStream) -> OuterToken:
-        return OuterToken(gaussian(rng, self.inner_dim, self.sigma))
+    def draw_outer(self, rng: RngStream) -> Vector:
+        return gaussian(rng, self.inner_dim, self.sigma)
 
-    def inner_value(self, token: InnerToken, x) -> Vector:
-        return self.matrix.dot(x) + self.offset + token.value_noise
+    def inner_value(self, inner, x) -> Vector:
+        return self.matrix.dot(x) + self.offset + inner[0]
 
-    def inner_jac(self, token: InnerToken, x) -> np.ndarray:
+    def inner_jac(self, inner, x) -> np.ndarray:
         """Sampled Jacobian, shaped (inner_dim, dim); x-independent here."""
-        return self.matrix + token.jac_noise
+        return self.matrix + inner[1]
 
-    def outer_grad(self, token: OuterToken, u) -> Vector:
-        return np.asarray(u, dtype=np.float64) + token.noise
+    def outer_grad(self, noise, u) -> Vector:
+        return np.asarray(u, dtype=np.float64) + noise
 
-    def sample_grad(self, inner_token: InnerToken, outer_token: OuterToken, x) -> Vector:
+    def sample_grad(self, inner, outer, x) -> Vector:
         """One-sample composite gradient estimate at x."""
-        u = self.inner_value(inner_token, x)
-        return self.inner_jac(inner_token, x).T @ self.outer_grad(outer_token, u)
+        u = self.inner_value(inner, x)
+        return self.inner_jac(inner, x).T @ self.outer_grad(outer, u)
 
 
-# Problem family name -> class; a config's fields are the class's required
+# Problem family name -> class; a config's fields are the class's
 # constructor arguments.
 FAMILIES = {
     "noisy_quadratic": NoisyQuadratic,
@@ -457,9 +413,7 @@ def check_spec(spec: dict) -> dict:
         )
     fields = {k: v for k, v in spec.items() if k != "name"}
     cls = FAMILIES[name]
-    required = [
-        p.name for p in inspect.signature(cls).parameters.values() if p.default is p.empty
-    ]
+    required = list(inspect.signature(cls).parameters)
     unknown = set(fields) - set(required)
     if unknown:
         raise ValueError(f"unknown fields for problem '{name}': {sorted(unknown)}")

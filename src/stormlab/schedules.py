@@ -74,17 +74,6 @@ def stage_length(t: int) -> tuple[int, bool]:
     return i, (t & (t - 1)) == 0
 
 
-def doubling_params(t: int, alpha: float, stage_sum_sq: float) -> tuple[float, float, int, bool]:
-    """Step size and momentum for the horizon-free doubling schedule.
-
-    stage_sum_sq accumulates squared estimator norms from the start of the
-    current stage through step t. Returns (eta, beta, stage, reset); within
-    a stage the laws coincide with ada_lr/ada_beta run at horizon = stage.
-    """
-    stage, reset = stage_length(t)
-    return ada_lr(stage, alpha, stage_sum_sq), ada_beta(stage), stage, reset
-
-
 def finite_sum_lr_law(n: int, alpha: float):
     """Adaptive step size for finite sums of n components, as a function of
     sum_sq.

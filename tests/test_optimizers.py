@@ -506,6 +506,38 @@ def test_parse_config_accepts_exactly_what_the_runner_accepts(name, key, data):
         _assert_records_equal(run_detail, again)
 
 
+class _SpecOnly:
+    """A problem's spec, x0 and dim; reading anything else fails the test."""
+
+    def __init__(self, problem):
+        self.spec, self.x0, self.dim = problem.spec, problem.x0, problem.dim
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read problem.{name} before checking the family")
+
+
+REJECTED_PAIRS = [
+    (name, family)
+    for name, (_, families) in sorted(ALGORITHMS.items())
+    for family in sorted(FAMILY_FIXTURES)
+    if family not in families
+]
+
+
+@pytest.mark.parametrize("name,family", REJECTED_PAIRS)
+def test_direct_runner_rejects_family_before_any_draw(name, family, request):
+    problem = request.getfixturevalue(FAMILY_FIXTURES[family])
+    runner, _ = ALGORITHMS[name]
+    message = f"algorithm '{name}' does not accept problem family '{family}'"
+    for target in (problem, _SpecOnly(problem)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            runner(target, 10)
+
+
+def test_fs_storm_svrg_echoes_default_period_n(fsum):
+    assert run_fs_storm_svrg(fsum, 5).config["algorithm"]["period"] == fsum.n
+
+
 def test_storm_original_rejects_c_zero_before_any_draw(quad):
     class NoDraws:
         spec, x0, dim = quad.spec, quad.x0, quad.dim

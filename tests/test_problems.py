@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from stormlab.numerics import BLOCK, RngStream
 from stormlab.problems import (
+    EPSILON,
     FAMILIES,
     CompositionalProblem,
     FiniteSumProblem,
@@ -73,8 +75,18 @@ def test_quadratic_delta_f_is_gap_to_minimum(quad):
 
 
 def test_nonconvex_hand_gradient():
-    prob = make_nonconvex_smooth(dim=1, sigma=0.0, seed=0, coeffs=[1.0], epsilon=0.0)
-    np.testing.assert_allclose(prob.true_grad(np.array([1.0])), [1.0], rtol=1e-15)
+    # f(x) = c log(1 + x^2) + eps x^2 / 2, so f'(x) = 2 c x / (1 + x^2) + eps x
+    prob = make_nonconvex_smooth(dim=1, sigma=0.0, seed=0)
+    assert prob.coeffs.shape == (1,) and 0.5 <= prob.coeffs[0] <= 1.5
+    assert prob.epsilon == EPSILON
+    c, eps = float(prob.coeffs[0]), prob.epsilon
+    for x in (1.0, -3.0, 0.25):
+        want = 2.0 * c * x / (1.0 + x * x) + eps * x
+        np.testing.assert_allclose(prob.true_grad(np.array([x])), [want], rtol=1e-15)
+        want_f = c * np.log1p(x * x) + 0.5 * eps * x * x
+        assert prob.objective(np.array([x])) == pytest.approx(want_f, rel=1e-15)
+    # at x = 1 the first term is exactly c
+    np.testing.assert_allclose(prob.true_grad(np.array([1.0])), [c + eps], rtol=1e-15)
 
 
 def test_nonconvex_smoothness_constant(noncvx):
@@ -188,10 +200,15 @@ def test_compositional_jacobian_orientation(comp):
 
 
 def test_compositional_hand_gradient():
-    prob = make_compositional(
-        dim=1, inner_dim=1, sigma=0.0, seed=0, matrix=[[2.0]], offset=[0.0]
-    )
-    np.testing.assert_allclose(prob.true_grad(np.array([1.0])), [4.0], rtol=1e-15)
+    # F(x) = (m x + c)^2 / 2, so F'(x) = m (m x + c)
+    prob = make_compositional(dim=1, inner_dim=1, sigma=0.0, seed=0)
+    assert prob.matrix.shape == (1, 1) and prob.offset.shape == (1,)
+    m, c = float(prob.matrix[0, 0]), float(prob.offset[0])
+    for x in (1.0, -2.0, 0.5):
+        u = m * x + c
+        np.testing.assert_allclose(prob.true_grad(np.array([x])), [m * u], rtol=1e-15)
+        assert prob.objective(np.array([x])) == pytest.approx(0.5 * u * u, rel=1e-15)
+    assert prob.L == pytest.approx(m * m, rel=1e-15)
 
 
 # --- finite-sum exactness ----------------------------------------------------
@@ -258,10 +275,22 @@ def test_grad_check_flags_wrong_gradient(quad):
 # --- spec construction -------------------------------------------------------
 
 
-def test_from_spec_round_trip(quad):
-    rebuilt = from_spec(quad.spec)
-    np.testing.assert_array_equal(rebuilt.A, quad.A)
-    np.testing.assert_array_equal(rebuilt.x0, quad.x0)
+@pytest.mark.parametrize("fixture", ["quad", "noncvx", "fsum", "comp"])
+def test_from_spec_round_trip(fixture, request):
+    problem = request.getfixturevalue(fixture)
+    # the constructor takes exactly the spec's fields
+    fields = set(problem.spec) - {"name"}
+    assert fields == set(inspect.signature(type(problem)).parameters)
+    rebuilt = from_spec(problem.spec)
+    assert type(rebuilt) is type(problem) and rebuilt.spec == problem.spec
+    assert vars(rebuilt).keys() == vars(problem).keys()
+    arrays = [k for k, v in vars(problem).items() if isinstance(v, np.ndarray)]
+    assert "x0" in arrays and len(arrays) >= 2  # x0 and the family's data
+    for key, value in vars(problem).items():
+        if key in arrays:
+            assert _same_bits(getattr(rebuilt, key), value), key
+        else:
+            assert getattr(rebuilt, key) == value, key
 
 
 def test_from_spec_rejects_unknown_name_and_fields(noncvx, fsum, comp):
@@ -285,7 +314,7 @@ def test_from_spec_rejects_unknown_name_and_fields(noncvx, fsum, comp):
         message = f"missing fields for problem '{name}': {fields}"
         with pytest.raises(ValueError, match=re.escape(message)):
             from_spec({"name": name})
-    # Optional constructor arguments and the fixed outlier share stay out of configs.
+    # Derived data and fixed constants are not config fields.
     for problem, extra in ((noncvx, "epsilon"), (comp, "offset"), (fsum, "outlier_frac")):
         name = problem.spec["name"]
         message = f"unknown fields for problem '{name}': ['{extra}']"
@@ -326,16 +355,16 @@ def test_oracle_draws_equal_per_step_generator_draws(dim, inner_dim, sigma, n, d
     streams = {key: RngStream(seed).child(key) for key in ("inner", "outer", "quad", "index")}
     fresh = {key: RngStream(seed).child(key).generator for key in streams}
     for _ in range(draws):
-        token = comp.draw_inner(streams["inner"])
+        value_noise, jac_noise = comp.draw_inner(streams["inner"])
         gen = fresh["inner"]
         value = sigma * gen.standard_normal(inner_dim) if sigma else np.zeros(inner_dim)
         jac = sigma * gen.standard_normal((inner_dim, dim)) if sigma else np.zeros((inner_dim, dim))
-        assert _same_bits(token.value_noise, value) and _same_bits(token.jac_noise, jac)
-        assert token.jac_noise.shape == (inner_dim, dim)
+        assert _same_bits(value_noise, value) and _same_bits(jac_noise, jac)
+        assert jac_noise.shape == (inner_dim, dim)
         want = sigma * fresh["outer"].standard_normal(inner_dim) if sigma else np.zeros(inner_dim)
-        assert _same_bits(comp.draw_outer(streams["outer"]).noise, want)
+        assert _same_bits(comp.draw_outer(streams["outer"]), want)
         want = sigma * fresh["quad"].standard_normal(dim) if sigma else np.zeros(dim)
-        assert _same_bits(quad.draw(streams["quad"]).noise, want)
-        assert fsum.draw(streams["index"]).index == int(fresh["index"].integers(n))
+        assert _same_bits(quad.draw(streams["quad"]), want)
+        assert fsum.draw(streams["index"]) == int(fresh["index"].integers(n))
     for key, stream in streams.items():
         assert stream.generator.bit_generator.state == fresh[key].bit_generator.state

@@ -8,7 +8,6 @@ from stormlab.schedules import (
     SUM_SQ_FLOOR,
     ada_beta,
     ada_lr,
-    doubling_params,
     finite_sum_beta,
     finite_sum_lr,
     stage_length,
@@ -88,23 +87,15 @@ def test_stage_brackets_t(t):
     assert reset == (t == stage)
 
 
-def test_doubling_params_hand_value():
-    # both branches evaluate to exactly 1/2 here: 8**(-1/3) and
+def test_stage_laws_hand_value():
+    # t = 8 opens a stage of length 8; with stage sum 2 both branches of the
+    # step size evaluate to exactly 1/2: 8**(-1/3) and
     # 1 / (8**(0.7/3) * 2**0.3) = 2**(-0.7) * 2**(-0.3)
-    eta, beta, stage, reset = doubling_params(8, 0.3, 2.0)
-    assert eta == pytest.approx(0.5, rel=1e-12)
-    assert beta == pytest.approx(0.25, rel=1e-12)
+    stage, reset = stage_length(8)
     assert stage == 8
     assert reset is True
-
-
-def test_doubling_params_matches_fixed_horizon_laws():
-    for t in (1, 2, 5, 9, 100, 1023, 1024):
-        stage, _ = stage_length(t)
-        for s in (0.0, 0.5, 123.0):
-            eta, beta, _, _ = doubling_params(t, 0.31, s)
-            assert eta == ada_lr(stage, 0.31, s)
-            assert beta == ada_beta(stage)
+    assert ada_lr(stage, 0.3, 2.0) == pytest.approx(0.5, rel=1e-12)
+    assert ada_beta(stage) == pytest.approx(0.25, rel=1e-12)
 
 
 # --- finite-sum law ----------------------------------------------------------

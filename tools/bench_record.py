@@ -3,8 +3,10 @@
 Runs `bench/run.py --trace 0` on every workload for two checkouts of
 stormlab, alternating which side runs first from pair to pair, keeps the
 final JSON line of each run, and writes per-workload medians and quartiles
-of every end-to-end metric, the change's wins per pair, the machine and the
-wall time of acceptance criteria 6-9 in each checkout:
+of every end-to-end metric, the change's wins per pair and the machine.
+Acceptance criteria 6-9 run the same way, `--pairs` times per side in
+alternating pairs, and each criterion's wall time is recorded as a median
+and quartiles per side:
 
     python3 tools/bench_record.py --parent ../parent --change . \\
         --pairs 5 --seeds 1 7 --out BENCH_6.json
@@ -92,6 +94,40 @@ def tier1_criteria(checkout) -> dict:
     return times
 
 
+def side_order(pair) -> tuple:
+    """Which side runs first: the parent in odd-numbered pairs, counting from 1."""
+    return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+
+
+def tier1_pairs(checkouts, pairs) -> dict:
+    """Per-criterion wall-time statistics of both sides, from `pairs`
+    alternating pairs of criteria 6-9 runs. A criterion missing from a
+    run's output counts as not passed and adds no time."""
+    runs = {side: [] for side in checkouts}
+    for pair in range(pairs):
+        for side in side_order(pair):
+            runs[side].append(tier1_criteria(checkouts[side]))
+            print(f"criteria pair {pair + 1} {side}: "
+                  + json.dumps({k: v["s"] for k, v in runs[side][-1].items()}), flush=True)
+    out = {}
+    for number in CRITERIA:
+        key = f"criterion_{int(number)}"
+        times = {side: [run[key]["s"] for run in side_runs if key in run]
+                 for side, side_runs in runs.items()}
+        passed = {side: sum(run.get(key, {}).get("passed", False) for run in side_runs)
+                  for side, side_runs in runs.items()}
+        wins = sum(c[key]["s"] < p[key]["s"] for p, c in zip(runs["parent"], runs["change"])
+                   if key in p and key in c)
+        out[key] = {
+            **{side: quartiles(v) if len(v) >= 2 else {"n": len(v)}
+               for side, v in times.items()},
+            "passed": {side: f"{k}/{pairs}" for side, k in passed.items()},
+            "change_wins": f"{wins}/{pairs}",
+            "runs": times,
+        }
+    return out
+
+
 def quartiles(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
@@ -140,9 +176,8 @@ def main(argv=None) -> int:
             key = f"{workload} seed {seed}"
             runs[key] = []
             for pair in range(args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 result = {}
-                for side in order:
+                for side in side_order(pair):
                     result[side] = run_bench(checkouts[side], workload, seed)
                     print(f"{key} pair {pair + 1} {side}: "
                           + json.dumps({m: round(v["value"], 4)
@@ -158,7 +193,7 @@ def main(argv=None) -> int:
         "order": "alternating: parent first in odd-numbered pairs",
         "sources": {side: {"src_sha256": source_digest(path)} for side, path in checkouts.items()},
         "workloads": summarize(runs),
-        "tier1_criteria_s": {side: tier1_criteria(path) for side, path in checkouts.items()},
+        "tier1_criteria_s": tier1_pairs(checkouts, args.pairs),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
