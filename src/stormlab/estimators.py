@@ -227,9 +227,6 @@ class Snapshot:
     age: int
     period: int
 
-    def aged(self) -> "Snapshot":
-        return Snapshot(self.x, self.full_grad, self.age + 1, self.period)
-
 
 def take_snapshot(problem, x, period: int) -> Snapshot:
     """Anchor at x with the exact full gradient; age starts at zero."""

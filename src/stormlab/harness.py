@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -213,6 +214,32 @@ def _run_worker_cell(cell):
     return _run_cell_safe((_worker_problem, *cell))
 
 
+def _pool_outcomes(problem, grid, jobs):
+    """`_run_cell_safe` outcomes of the grid's cells, in grid order, from
+    `jobs` worker processes. When a worker dies, every cell not yet received
+    runs alone in a fresh one-worker pool, so a cell whose own worker dies
+    fails alone."""
+    def pool(workers):
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(problem,))
+
+    received = 0
+    try:
+        with pool(jobs) as executor:
+            for outcome in executor.map(_run_worker_cell, grid):
+                yield outcome
+                received += 1
+    except BrokenProcessPool:
+        pass
+    for cell in grid[received:]:
+        try:
+            with pool(1) as executor:
+                outcome = executor.submit(_run_worker_cell, cell).result()
+        except BrokenProcessPool as exc:
+            outcome = False, f"{type(exc).__name__}: {exc}"
+        yield outcome
+
+
 def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None, thin=None) -> GridResult:
     """Run every (algorithm, T, seed) cell and aggregate summaries.
 
@@ -220,7 +247,7 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None, thin=None) -
     the merged result is identical to a serial run. The problem is built
     once per grid (no run changes it) and handed to every cell and worker.
     A failing cell is reported in `failures` without stopping the rest of
-    the grid.
+    the grid, and so is a cell whose worker process dies.
 
     With `out_dir`, the files `write_outputs(result, config, out_dir, thin)`
     would write are written here instead: each finished cell's trace as
@@ -238,13 +265,11 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None, thin=None) -
 
     result = GridResult(cells=cells, records=[])
     by_group = {}
-    with contextlib.ExitStack() as stack:
-        if jobs == 1:
-            outcomes = (_run_cell_safe((problem, *cell)) for cell in grid)
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=jobs, initializer=_start_worker, initargs=(problem,)))
-            outcomes = pool.map(_run_worker_cell, grid)
+    if jobs == 1:
+        outcomes = (_run_cell_safe((problem, *cell)) for cell in grid)
+    else:
+        outcomes = _pool_outcomes(problem, grid, jobs)
+    with contextlib.closing(outcomes):  # shuts the pool down on any exit
         for cell, (ok, value) in zip(cells, outcomes):
             if ok:
                 result.records.append(value)

@@ -68,6 +68,17 @@ def real(value, what):
     raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
+def checked(key, value, rule):
+    """value as the rule's kind (`whole` or `real`) returns it, once it
+    passes the rule's test; rule is (kind, test, wording), and a failure
+    raises ValueError("<key> must <wording>, got <value!r>")."""
+    kind, test, wording = rule
+    value = kind(value, key)
+    if not test(value):
+        raise ValueError(f"{key} must {wording}, got {value!r}")
+    return value
+
+
 def gaussian(rng: "RngStream", dim: int, sigma: float) -> Vector:
     """Draw an i.i.d. N(0, sigma^2) vector of length dim.
 

@@ -58,7 +58,7 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     svrg_update,
     take_snapshot,
 )
-from .numerics import BLOCK, RngStream, as_vector, norm_sq
+from .numerics import BLOCK, RngStream, as_vector, checked, norm_sq, real, whole
 from .schedules import (  # noqa: F401 - bench/tracer.py wraps ada_lr, finite_sum_lr here
     ada_beta,
     ada_lr,
@@ -126,25 +126,30 @@ def warmup_batch_size(horizon: int) -> int:
 # Runner arguments that are not tunables of the algorithm.
 _RUN_ARGS = {"problem", "T", "seed", "x0", "keep_iterates"}
 
-# Every tunable's type and range, keyed by parameter name.
+# Every tunable's kind and range, keyed by parameter name.
 PARAM_RANGES = {
-    "alpha": (float, lambda a: 0.0 < a < 1.0 / 3.0, "lie in (0, 1/3)"),
-    "eta0": (float, lambda v: v > 0, "be > 0"),
-    "decay": (float, lambda v: v >= 0, "be >= 0"),
-    "k": (float, lambda v: v > 0, "be > 0"),
-    "w": (float, lambda v: v > 0, "be > 0"),
-    "c": (float, lambda v: v > 0, "be > 0"),
-    "period": (int, lambda v: v >= 1, "be an integer >= 1"),
-    "eta_const": (float, lambda v: v > 0, "be > 0"),
+    "alpha": (real, lambda a: 0.0 < a < 1.0 / 3.0, "lie in (0, 1/3)"),
+    "eta0": (real, lambda v: v > 0, "be > 0"),
+    "decay": (real, lambda v: v >= 0, "be >= 0"),
+    "k": (real, lambda v: v > 0, "be > 0"),
+    "w": (real, lambda v: v > 0, "be > 0"),
+    "c": (real, lambda v: v > 0, "be > 0"),
+    "period": (whole, lambda v: v >= 1, "be >= 1"),
+    "eta_const": (real, lambda v: v > 0, "be > 0"),
 }
+
+
+def _registered(name: str):
+    """ALGORITHMS[name]; an unknown name raises ValueError."""
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm '{name}', expected one of {sorted(ALGORITHMS)}")
+    return ALGORITHMS[name]
 
 
 def tunables(name: str) -> dict:
     """Tunables of a registered algorithm and their defaults, in the order
     of its runner's signature; a default of None means no default."""
-    if name not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm '{name}', expected one of {sorted(ALGORITHMS)}")
-    runner, _ = ALGORITHMS[name]
+    runner, _ = _registered(name)
     return {
         p.name: p.default
         for p in inspect.signature(runner).parameters.values()
@@ -157,8 +162,10 @@ def check_run(name: str, family, params: dict) -> dict:
 
     Returns `params` with each missing tunable's default filled in, in the
     runner's signature order; a tunable whose default is None stays absent
-    until given. Raises ValueError on an unknown algorithm or key, a value
-    outside its range, or a family the algorithm does not accept.
+    until given. Each value is checked by its `PARAM_RANGES` rule and comes
+    back as the rule's kind returns it. Raises ValueError on an unknown
+    algorithm or key, a value outside its range, or a family the algorithm
+    does not accept.
     """
     defaults = tunables(name)
     unknown = set(params) - set(defaults)
@@ -169,15 +176,7 @@ def check_run(name: str, family, params: dict) -> dict:
         value = params.get(key, default)
         if value is None and default is None:
             continue
-        kind, test, wording = PARAM_RANGES[key]
-        try:
-            cast = kind(value)
-            ok = cast == value and math.isfinite(cast) and test(cast)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValueError(f"{name}: {key} must {wording}, got {value}")
-        out[key] = value
+        out[key] = checked(f"{name}: {key}", value, PARAM_RANGES[key])
     if family not in ALGORITHMS[name][1]:
         raise ValueError(f"algorithm '{name}' does not accept problem family '{family}'")
     return out
@@ -268,7 +267,10 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
         iterates[T] = x
 
     algorithm = {"name": name}
-    algorithm.update((key, PARAM_RANGES[key][0](value)) for key, value in params.items())
+    algorithm.update(
+        (key, float(value) if PARAM_RANGES[key][0] is real else value)
+        for key, value in params.items()
+    )
     config = {"algorithm": algorithm, "problem": dict(problem.spec), "T": int(T), "seed": int(seed)}
     return RunRecord(
         np.arange(1, T + 1, dtype=np.int64), f, grad_norm, v_norm_sq, etas, betas, est_error,
@@ -538,11 +540,7 @@ ALGORITHMS = {
 
 
 def run_algorithm(name: str, problem, T: int, seed: int, **params) -> RunRecord:
-    """Dispatch one run by algorithm name; params go to the run function.
-
-    The run is checked before dispatch, so a wrong name or family fails the
-    same way as it does in a config."""
-    tunable = {key: value for key, value in params.items() if key not in _RUN_ARGS}
-    check_run(name, problem.spec.get("name"), tunable)
-    runner, _ = ALGORITHMS[name]
+    """Dispatch one run by algorithm name; params go to the run function,
+    whose run loop checks them as `check_run` checks a config."""
+    runner, _ = _registered(name)
     return runner(problem, T, seed=seed, **params)

@@ -25,7 +25,7 @@ import inspect
 
 import numpy as np
 
-from .numerics import RngStream, Vector, as_vector, gaussian, real, whole
+from .numerics import RngStream, Vector, as_vector, checked, gaussian, real, whole
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
@@ -34,6 +34,18 @@ EPSILON = 1e-2  # weight of the nonconvex family's quadratic term
 # doubles per (block rows x chunk) temporary, so a block of iterates never
 # needs a (rows, n) array.
 MEASURE_CHUNK_DOUBLES = 16_384
+
+# Every problem field's kind and range, keyed by field name. The one rule
+# across fields, mu <= L, is in `check_spec`.
+FIELD_RANGES = {
+    "dim": (whole, lambda v: v >= 1, "be >= 1"),
+    "n": (whole, lambda v: v >= 1, "be >= 1"),
+    "inner_dim": (whole, lambda v: v >= 1, "be >= 1"),
+    "seed": (whole, lambda v: True, "be a whole number"),
+    "L": (real, lambda v: v > 0, "be > 0"),
+    "mu": (real, lambda v: v > 0, "be > 0"),
+    "sigma": (real, lambda v: v >= 0, "be >= 0"),
+}
 
 
 class StochasticProblem:
@@ -81,21 +93,8 @@ class NoisyQuadratic(StochasticProblem):
     sample is sigma**2 * dim.
     """
 
-    @staticmethod
-    def check(dim, L, mu, sigma, seed):
-        """The constructor's arguments, range-checked, with whole numbers as ints."""
-        dim, seed = whole(dim, "dim"), whole(seed, "seed")
-        L, mu, sigma = real(L, "L"), real(mu, "mu"), real(sigma, "sigma")
-        if dim < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
-        if not 0 < mu <= L:
-            raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {sigma}")
-        return dim, L, mu, sigma, seed
-
     def __init__(self, dim, L, mu, sigma, seed):
-        dim, L, mu, sigma, seed = self.check(dim, L, mu, sigma, seed)
+        dim, L, mu, sigma, seed = _own_spec(self, locals())
         root = RngStream(seed).child("noisy_quadratic")
         gen = root.child("data").generator
         # Rotate an evenly spaced spectrum by a seeded orthogonal matrix.
@@ -106,22 +105,14 @@ class NoisyQuadratic(StochasticProblem):
         self.A = 0.5 * (self.A + self.A.T)  # symmetrize against rounding
         self.b = gen.standard_normal(dim)
         self.dim = dim
-        self.L = float(L)
-        self.sigma = float(sigma)
+        self.L = L
+        self.sigma = sigma
         self.x0 = root.child("x0").generator.standard_normal(dim)
         self.x_star = np.linalg.solve(self.A, -self.b)
         f_star = 0.5 * float(self.x_star @ (self.A @ self.x_star)) + float(
             self.b @ self.x_star
         )
         self.delta_f = self.objective(self.x0) - f_star
-        self.spec = {
-            "name": "noisy_quadratic",
-            "dim": dim,
-            "L": float(L),
-            "mu": float(mu),
-            "sigma": float(sigma),
-            "seed": seed,
-        }
 
     def objective(self, x) -> float:
         return 0.5 * float(x @ (self.A @ x)) + float(self.b @ x)
@@ -143,32 +134,16 @@ class NonconvexSmooth(StochasticProblem):
     every coordinate away from zero.
     """
 
-    @staticmethod
-    def check(dim, sigma, seed):
-        """The constructor's arguments, range-checked, with whole numbers as ints."""
-        dim, sigma, seed = whole(dim, "dim"), real(sigma, "sigma"), whole(seed, "seed")
-        if dim < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {sigma}")
-        return dim, sigma, seed
-
     def __init__(self, dim, sigma, seed):
-        dim, sigma, seed = self.check(dim, sigma, seed)
+        dim, sigma, seed = _own_spec(self, locals())
         root = RngStream(seed).child("nonconvex_smooth")
         self.coeffs = root.child("data").generator.uniform(0.5, 1.5, dim)
         self.epsilon = EPSILON
         self.dim = dim
-        self.sigma = float(sigma)
+        self.sigma = sigma
         self.L = float(2.0 * self.coeffs.max() + self.epsilon)
         self.x0 = root.child("x0").generator.standard_normal(dim)
         self.delta_f = self.objective(self.x0)  # inf f = 0 at the origin
-        self.spec = {
-            "name": "nonconvex_smooth",
-            "dim": dim,
-            "sigma": float(sigma),
-            "seed": seed,
-        }
 
     def objective(self, x) -> float:
         x = np.asarray(x)
@@ -200,16 +175,8 @@ class FiniteSumProblem(StochasticProblem):
     component gradients.
     """
 
-    @staticmethod
-    def check(n, dim, seed):
-        """The constructor's arguments, range-checked, as ints."""
-        n, dim, seed = whole(n, "n"), whole(dim, "dim"), whole(seed, "seed")
-        if n < 1 or dim < 1:
-            raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
-        return n, dim, seed
-
     def __init__(self, n, dim, seed):
-        n, dim, seed = self.check(n, dim, seed)
+        n, dim, seed = _own_spec(self, locals())
         root = RngStream(seed).child("finite_sum")
         gen = root.child("data").generator
         self.features = gen.standard_normal((n, dim)) / np.sqrt(dim)
@@ -228,7 +195,6 @@ class FiniteSumProblem(StochasticProblem):
         self.L = float(2.0 * row_sq.max())  # |l''| <= 2
         self.x0 = root.child("x0").generator.standard_normal(dim)
         self.delta_f = self.objective(self.x0)  # losses are bounded below by 0
-        self.spec = {"name": "finite_sum", "n": n, "dim": dim, "seed": seed}
 
     @staticmethod
     def _loss(r):
@@ -302,39 +268,19 @@ class CompositionalProblem:
     N(0, sigma^2). The exact gradient is M'(Mx + c).
     """
 
-    @staticmethod
-    def check(dim, inner_dim, sigma, seed):
-        """The constructor's arguments, range-checked, with whole numbers as ints."""
-        dim, inner_dim = whole(dim, "dim"), whole(inner_dim, "inner_dim")
-        sigma, seed = real(sigma, "sigma"), whole(seed, "seed")
-        if dim < 1 or inner_dim < 1:
-            raise ValueError(
-                f"need dim >= 1 and inner_dim >= 1, got dim={dim}, inner_dim={inner_dim}"
-            )
-        if sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {sigma}")
-        return dim, inner_dim, sigma, seed
-
     def __init__(self, dim, inner_dim, sigma, seed):
-        dim, inner_dim, sigma, seed = self.check(dim, inner_dim, sigma, seed)
+        dim, inner_dim, sigma, seed = _own_spec(self, locals())
         root = RngStream(seed).child("compositional")
         gen = root.child("data").generator
         self.matrix = gen.standard_normal((inner_dim, dim)) / np.sqrt(dim)
         self.offset = gen.standard_normal(inner_dim)
         self.dim = dim
         self.inner_dim = inner_dim
-        self.sigma = float(sigma)
+        self.sigma = sigma
         top_sv = float(np.linalg.norm(self.matrix, 2))
         self.L = top_sv * top_sv  # smoothness of the exact composition
         self.x0 = root.child("x0").generator.standard_normal(dim)
         self.delta_f = self.objective(self.x0)  # F >= 0
-        self.spec = {
-            "name": "compositional",
-            "dim": dim,
-            "inner_dim": inner_dim,
-            "sigma": float(sigma),
-            "seed": seed,
-        }
 
     def inner_true(self, x) -> Vector:
         return self.matrix @ x + self.offset
@@ -398,7 +344,8 @@ make_compositional = CompositionalProblem
 
 def check_spec(spec: dict) -> dict:
     """The spec with its fields checked as `from_spec` would, without
-    building the problem; whole-number fields come back as ints.
+    building the problem: each by its `FIELD_RANGES` rule, whole-number
+    fields as ints and real ones as written.
 
     Unknown names, unknown or missing fields and out-of-range values raise
     ValueError, so config typos fail loudly instead of silently picking
@@ -420,8 +367,25 @@ def check_spec(spec: dict) -> dict:
     missing = set(required) - set(fields)
     if missing:
         raise ValueError(f"missing fields for problem '{name}': {sorted(missing)}")
-    checked = cls.check(**fields)
-    return {"name": name, **dict(zip(required, checked))}
+    out = {"name": name}
+    out.update((key, checked(key, fields[key], FIELD_RANGES[key])) for key in required)
+    if "mu" in out and out["mu"] > out["L"]:
+        raise ValueError(f"need mu <= L, got mu={out['mu']!r}, L={out['L']!r}")
+    return out
+
+
+def _own_spec(problem, args) -> list:
+    """Check a family constructor's arguments (its `locals()` on entry) by
+    `check_spec`, set `problem.spec` to the checked fields with real ones as
+    floats, and return the spec's values in the constructor's order."""
+    fields = {key: value for key, value in args.items() if key != "self"}
+    name = next(name for name, cls in FAMILIES.items() if isinstance(problem, cls))
+    spec = check_spec({"name": name, **fields})
+    for key in fields:
+        if FIELD_RANGES[key][0] is real:
+            spec[key] = float(spec[key])
+    problem.spec = spec
+    return [spec[key] for key in fields]
 
 
 def from_spec(spec: dict):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -367,11 +368,9 @@ def test_snapshot_staleness_raises():
     g = fs.component_grad(0, fs.x0)
     v = snap.full_grad
     svrg_update(v, snap, 0.25, g, g, g)  # age 0: fine
-    snap = snap.aged()
-    svrg_update(v, snap, 0.25, g, g, g)  # age 1: fine
-    snap = snap.aged()
-    with pytest.raises(StaleSnapshotError):
-        svrg_update(v, snap, 0.25, g, g, g)  # age 2 = period: missed refresh
+    svrg_update(v, dataclasses.replace(snap, age=1), 0.25, g, g, g)  # age 1: fine
+    with pytest.raises(StaleSnapshotError):  # age 2 = period: missed refresh
+        svrg_update(v, dataclasses.replace(snap, age=2), 0.25, g, g, g)
 
 
 def test_snapshot_full_grad_is_exact():

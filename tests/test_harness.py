@@ -163,7 +163,7 @@ def test_parse_checks_the_problem_without_building_it(monkeypatch):
     doc = _config(problem={"name": "finite_sum", "n": 20_000, "dim": 20, "seed": 1})
     doc["algorithms"] = [{"name": "fs_storm"}]
     assert parse_config(doc).problem["n"] == 20_000
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         parse_config(dict(doc, problem={"name": "finite_sum", "n": 0, "dim": 20, "seed": 1}))
 
 
@@ -486,6 +486,43 @@ def test_failing_cell_is_reported_but_grid_continues(monkeypatch):
     # the sgd T=80 summary row now aggregates 4 seeds instead of 5
     row = next(r for r in result.rows if r.algorithm == "sgd" and r.T == 80)
     assert row.n_seeds == 4
+
+
+def test_dead_worker_fails_only_its_own_cell(monkeypatch, tmp_path):
+    # At --jobs 2 the cell's forked worker exits; serially the same cell
+    # raises. Every other file is the same bytes, and both runs exit 1.
+    import stormlab.harness as harness
+
+    doc = _config(algorithms=[{"name": "sgd", "eta0": 0.05}],
+                  grid={"T": [20, 40, 80], "seeds": [1, 2]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    original = harness._run_cell
+
+    def dying(payload):
+        if payload[2:] == (40, 1):
+            os._exit(3)
+        return original(payload)
+
+    def failing(payload):
+        if payload[2:] == (40, 1):
+            raise RuntimeError("synthetic cell failure")
+        return original(payload)
+
+    outputs = {}
+    for jobs, cell in (("1", failing), ("2", dying)):
+        monkeypatch.setattr(harness, "_run_cell", cell)
+        out = tmp_path / jobs
+        assert cli_main(["run", str(path), "--out", str(out), "--jobs", jobs]) == 1
+        outputs[jobs] = _dir_bytes(out)
+    summaries = {jobs: json.loads(files.pop("summary.json")) for jobs, files in outputs.items()}
+    assert outputs["1"] == outputs["2"]
+    assert len(outputs["2"]) == 5 + 1 + 1  # five traces, summary.csv, one plot
+    serial, parallel = ([f.pop("error") for f in s["failures"]] for s in summaries.values())
+    assert serial == ["RuntimeError: synthetic cell failure"]
+    assert len(parallel) == 1 and parallel[0].startswith("BrokenProcessPool: ")
+    assert summaries["1"] == summaries["2"]
+    assert summaries["2"]["failures"] == [{"cell": "sgd__noisy_quadratic__T40__seed1"}]
 
 
 # --- property checks and CLI -------------------------------------------------------

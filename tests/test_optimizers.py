@@ -538,6 +538,25 @@ def test_fs_storm_svrg_echoes_default_period_n(fsum):
     assert run_fs_storm_svrg(fsum, 5).config["algorithm"]["period"] == fsum.n
 
 
+@pytest.mark.parametrize("name,key,value", [
+    ("sgd", "eta0", True), ("sgd", "decay", False), ("fs_storm_svrg", "period", True),
+    ("storm_original", "w", True),
+])
+def test_bool_tunables_are_rejected_naming_the_key(name, key, value):
+    spec = REGISTRY_PROBLEMS[min(ALGORITHMS[name][1])]
+    problem = from_spec(spec)
+    runner, _ = ALGORITHMS[name]
+    message = f"{name}: {key} must be a "
+    for call in (
+        lambda: parse_config({"problem": spec, "algorithm": {"name": name, key: value},
+                              "grid": {"T": 10, "seeds": 1}}),
+        lambda: runner(problem, 10, **{key: value}),
+        lambda: run_algorithm(name, problem, 10, 1, **{key: value}),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def test_storm_original_rejects_c_zero_before_any_draw(quad):
     class NoDraws:
         spec, x0, dim = quad.spec, quad.x0, quad.dim

@@ -13,8 +13,12 @@ Three digests, one per line:
                grad_norm, est_error): everything the algorithms compute,
                which a change to how the trace is measured must not move.
 * artifacts  - every file `write_outputs` writes for the criterion-11
-               config and for a three-algorithm grid at thin 3 (and again
-               at thin 7 and 1000), name and bytes.
+               config, for a three-algorithm grid at thin 3 (and again
+               at thin 7 and 1000) and for a grid whose real values are
+               written as ints and whole ones as floats, name and bytes,
+               and each grid run's config JSON. summary.json echoes the
+               config as written; a run's config echoes real values as
+               floats and whole ones as ints.
 
 A refactor that must not change outputs compares these at both commits:
 
@@ -40,6 +44,12 @@ THREE_ALGORITHMS = {
                    {"name": "storm_original"}],
     "grid": {"T": [50, 90], "seeds": [1, 2]},
     "output": {"thin": 3},
+}
+AS_WRITTEN = {
+    "problem": {"name": "noisy_quadratic", "dim": 6.0, "L": 4, "mu": 1, "sigma": 1, "seed": 5.0},
+    "algorithms": [{"name": "sgd", "eta0": 1, "decay": 1},
+                   {"name": "storm_original", "k": 1, "w": 2, "c": 10}],
+    "grid": {"T": [40.0, 70], "seeds": [1.0, 2]},
 }
 
 
@@ -82,10 +92,13 @@ def artifacts_digest() -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         grids = [(CRITERION_11, None)] + [(THREE_ALGORITHMS, thin) for thin in (None, 7, 1000)]
-        for i, (doc, thin) in enumerate(grids):
+        for i, (doc, thin) in enumerate(grids + [(AS_WRITTEN, None)]):
             config = harness.parse_config(doc)
             out_dir = os.path.join(tmp, str(i))
-            harness.write_outputs(harness.run_grid(config), config, out_dir, thin=thin)
+            result = harness.run_grid(config)
+            harness.write_outputs(result, config, out_dir, thin=thin)
+            for record in result.records:
+                h.update(json.dumps(record.config).encode())
             for name in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, name), "rb") as fh:
                     h.update(name.encode() + b"\0" + fh.read())
