@@ -5,6 +5,7 @@ and every enabled check succeeded."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .harness import (  # noqa: F401 - bench/tracer.py wraps write_outputs here
@@ -14,13 +15,25 @@ from .harness import (  # noqa: F401 - bench/tracer.py wraps write_outputs here
     run_property_checks,
     write_outputs,
 )
+from .numerics import checked
 
 
-def _positive_int(text) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+def _checked_arg(key):
+    """An argparse type reading its text as a number, as a config would
+    hold it, and checking it by `numerics.RULES[key]`; text that is no
+    number is rejected as it is."""
+    def parse(text):
+        value = text
+        for number in (int, float):
+            with contextlib.suppress(ValueError):
+                value = number(text)
+                break
+        try:
+            return checked(key, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _cmd_run(args) -> int:
@@ -87,8 +100,10 @@ def main(argv=None) -> int:
     p_run.add_argument("config", nargs="?", help="path to the JSON config")
     p_run.add_argument("--config", dest="config_flag", help="alternative to the positional path")
     p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
-    p_run.add_argument("--thin", type=_positive_int, default=None, help="keep every k-th trace row")
+    p_run.add_argument("--jobs", type=_checked_arg("jobs"), default=1,
+                       help="parallel worker processes")
+    p_run.add_argument("--thin", type=_checked_arg("thin"), default=None,
+                       help="keep every k-th trace row")
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="run the built-in property checks")

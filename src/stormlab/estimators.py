@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Vector
+from .numerics import Vector, checked
 
 # The incremental table mean drifts by rounding; re-average this often.
 TABLE_RESYNC_EVERY = 1000
@@ -230,8 +230,7 @@ class Snapshot:
 
 def take_snapshot(problem, x, period: int) -> Snapshot:
     """Anchor at x with the exact full gradient; age starts at zero."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    period = checked("period", period)
     x = np.array(x, dtype=np.float64)
     return Snapshot(x=x, full_grad=problem.full_grad(x), age=0, period=period)
 

@@ -16,15 +16,13 @@ import contextlib
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import problems
 from .analysis import fit_loglog_slope, prefix_power_sum_bounds, summarize
-from .numerics import RngStream, whole
+from .numerics import RngStream, checked
 from .optimizers import RunRecord, check_run, run_algorithm
 
 
@@ -84,10 +82,12 @@ def parse_config(doc) -> ExperimentConfig:
     """Validate a config given as JSON text or an already-parsed mapping.
 
     Unknown keys anywhere are rejected, exactly one of 'algorithm' or
-    'algorithms' must be present, T, seeds and thin must be whole numbers
-    (never bools; 10.0 is 10, 10.5 is an error), seeds must be distinct, and all
-    algorithm/problem parameters are range-checked here rather than deep in
-    a grid cell. The problem is checked by `problems.check_spec`, not built.
+    'algorithms' must be present, T values and seeds must be distinct, and
+    every named value (T, seed, thin, the problem's fields and the
+    algorithms' tunables) is checked by its `numerics.RULES` rule here
+    rather than deep in a grid cell: a whole number is never a bool, 10.0 is
+    10 and 10.5 is an error. The problem is checked by
+    `problems.check_spec`, not built.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
@@ -118,13 +118,13 @@ def parse_config(doc) -> ExperimentConfig:
     if "T" not in grid or "seeds" not in grid:
         raise ValueError("grid needs both 'T' and 'seeds'")
     T_grid = grid["T"] if isinstance(grid["T"], list) else [grid["T"]]
-    T_grid = [whole(t, "grid T value") for t in T_grid]
-    if not T_grid or any(t < 1 for t in T_grid):
-        raise ValueError(f"grid T values must be integers >= 1, got {T_grid}")
+    T_grid = [checked("T", t, "grid ") for t in T_grid]
+    if not T_grid:
+        raise ValueError("grid needs at least one T")
     if len(set(T_grid)) != len(T_grid):
         raise ValueError(f"grid T values must be distinct, got {T_grid}")
     seeds = grid["seeds"] if isinstance(grid["seeds"], list) else [grid["seeds"]]
-    seeds = [whole(s, "grid seed") for s in seeds]
+    seeds = [checked("seed", s, "grid ") for s in seeds]
     if not seeds:
         raise ValueError("grid needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -138,9 +138,7 @@ def parse_config(doc) -> ExperimentConfig:
         out_dir = output.get("directory")
         if out_dir is not None:
             out_dir = str(out_dir)
-        thin = whole(output.get("thin", 1), "output thin")
-        if thin < 1:
-            raise ValueError(f"thin must be >= 1, got {thin}")
+        thin = checked("thin", output.get("thin", 1), "output ")
 
     return ExperimentConfig(
         problem=problem_spec,
@@ -216,16 +214,19 @@ def _run_worker_cell(cell):
 
 def _pool_outcomes(problem, grid, jobs):
     """`_run_cell_safe` outcomes of the grid's cells, in grid order, from
-    `jobs` worker processes. When a worker dies, every cell not yet received
-    runs alone in a fresh one-worker pool, so a cell whose own worker dies
-    fails alone."""
+    `jobs` worker processes, or one per cell when the grid has fewer cells.
+    When a worker dies, every cell not yet received runs alone in a fresh
+    one-worker pool, so a cell whose own worker dies fails alone."""
+    from concurrent.futures import ProcessPoolExecutor  # only jobs > 1 pays the import
+    from concurrent.futures.process import BrokenProcessPool
+
     def pool(workers):
         return ProcessPoolExecutor(
             max_workers=workers, initializer=_start_worker, initargs=(problem,))
 
     received = 0
     try:
-        with pool(jobs) as executor:
+        with pool(min(jobs, len(grid))) as executor:
             for outcome in executor.map(_run_worker_cell, grid):
                 yield outcome
                 received += 1
@@ -254,10 +255,9 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None, thin=None) -
     soon as it and every cell before it in grid order are done, while the
     pool runs the rest, and the summary and plot files after the last cell.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = checked("jobs", jobs)
+    thin = checked("thin", config.thin if thin is None else thin)
     if out_dir is not None:
-        thin = _trace_thin(config, thin)
         os.makedirs(out_dir, exist_ok=True)
     grid = list(itertools.product(config.algorithms, config.T_grid, config.seeds))
     cells = [(algo["label"], T, seed) for algo, T, seed in grid]
@@ -327,19 +327,9 @@ def _trace_path(out_dir, cell, config):
     return os.path.join(out_dir, f"trace__{_cell_name(cell, config)}.csv")
 
 
-def _trace_thin(config, thin):
-    """The trace thinning to write with: `thin`, else the config's."""
-    thin = config.thin if thin is None else int(thin)
-    if thin < 1:
-        raise ValueError(f"thin must be >= 1, got {thin}")
-    return thin
-
-
 def write_trace_csv(record: RunRecord, path, thin: int = 1):
     """One CSV per run; rows with (t - 1) % thin == 0 are retained."""
-    if thin < 1:
-        raise ValueError(f"thin must be >= 1, got {thin}")
-    _write_csv(path, record.columns(), thin)
+    _write_csv(path, record.columns(), checked("thin", thin))
 
 
 def write_outputs(result: GridResult, config: ExperimentConfig, out_dir, thin=None):
@@ -349,7 +339,7 @@ def write_outputs(result: GridResult, config: ExperimentConfig, out_dir, thin=No
     the full in-memory traces; thinning only affects the trace files.
     `run_grid(config, out_dir=...)` writes the same files as the grid runs.
     """
-    thin = _trace_thin(config, thin)
+    thin = checked("thin", config.thin if thin is None else thin)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for cell, record in zip(result.cells, result.records):

@@ -68,15 +68,41 @@ def real(value, what):
     raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
-def checked(key, value, rule):
-    """value as the rule's kind (`whole` or `real`) returns it, once it
-    passes the rule's test; rule is (kind, test, wording), and a failure
-    raises ValueError("<key> must <wording>, got <value!r>")."""
-    kind, test, wording = rule
-    value = kind(value, key)
+# Every named value's rule, (kind, test, wording), keyed by name: problem
+# fields, algorithm tunables, a run's T and seed, a grid's thin and jobs and
+# the set-up arguments of the step-size laws. `checked` applies them.
+_ONE_OR_MORE = (whole, lambda v: v >= 1, "be >= 1")
+_POSITIVE = (real, lambda v: v > 0, "be > 0")
+_NONNEGATIVE = (real, lambda v: v >= 0, "be >= 0")
+RULES = {
+    **dict.fromkeys(("T", "dim", "n", "inner_dim", "horizon", "period", "thin", "jobs"),
+                    _ONE_OR_MORE),
+    **dict.fromkeys(("L", "mu", "eta0", "k", "w", "c", "eta_const"), _POSITIVE),
+    **dict.fromkeys(("sigma", "decay"), _NONNEGATIVE),
+    "seed": (whole, lambda v: True, "be a whole number"),
+    "alpha": (real, lambda a: 0.0 < a < 1.0 / 3.0, "lie in (0, 1/3)"),
+}
+
+
+def checked(key, value, where=""):
+    """value as its `RULES[key]` kind (`whole` or `real`) returns it, once it
+    passes the rule's test; a failure raises ValueError("<where><key> must
+    <wording>, got <value!r>")."""
+    kind, test, wording = RULES[key]
+    name = where + key
+    value = kind(value, name)
     if not test(value):
-        raise ValueError(f"{key} must {wording}, got {value!r}")
+        raise ValueError(f"{name} must {wording}, got {value!r}")
     return value
+
+
+def echoed(values: dict) -> dict:
+    """values with each one whose rule is of kind `real` as a float, as runs
+    and problems echo their checked values; other values are unchanged."""
+    return {
+        key: float(value) if key in RULES and RULES[key][0] is real else value
+        for key, value in values.items()
+    }
 
 
 def gaussian(rng: "RngStream", dim: int, sigma: float) -> Vector:

@@ -29,8 +29,9 @@ those calls are the oracle cost the method is analysed in, and a batched
 evaluation would change both the counted cost and the gradients' bits.
 
 `ALGORITHMS` is the one registry of algorithms. A runner's signature holds
-the algorithm's tunables and their defaults, and `PARAM_RANGES` holds each
-tunable's range; configs and direct calls are both checked by `check_run`.
+the algorithm's tunables and their defaults, and `numerics.RULES` holds each
+tunable's range; configs and direct calls are both checked by `check_run`,
+and a run's T and seed by the same table.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     svrg_update,
     take_snapshot,
 )
-from .numerics import BLOCK, RngStream, as_vector, checked, norm_sq, real, whole
+from .numerics import BLOCK, RngStream, as_vector, checked, echoed, norm_sq
 from .schedules import (  # noqa: F401 - bench/tracer.py wraps ada_lr, finite_sum_lr here
     ada_beta,
     ada_lr,
@@ -126,19 +127,6 @@ def warmup_batch_size(horizon: int) -> int:
 # Runner arguments that are not tunables of the algorithm.
 _RUN_ARGS = {"problem", "T", "seed", "x0", "keep_iterates"}
 
-# Every tunable's kind and range, keyed by parameter name.
-PARAM_RANGES = {
-    "alpha": (real, lambda a: 0.0 < a < 1.0 / 3.0, "lie in (0, 1/3)"),
-    "eta0": (real, lambda v: v > 0, "be > 0"),
-    "decay": (real, lambda v: v >= 0, "be >= 0"),
-    "k": (real, lambda v: v > 0, "be > 0"),
-    "w": (real, lambda v: v > 0, "be > 0"),
-    "c": (real, lambda v: v > 0, "be > 0"),
-    "period": (whole, lambda v: v >= 1, "be >= 1"),
-    "eta_const": (real, lambda v: v > 0, "be > 0"),
-}
-
-
 def _registered(name: str):
     """ALGORITHMS[name]; an unknown name raises ValueError."""
     if name not in ALGORITHMS:
@@ -162,7 +150,7 @@ def check_run(name: str, family, params: dict) -> dict:
 
     Returns `params` with each missing tunable's default filled in, in the
     runner's signature order; a tunable whose default is None stays absent
-    until given. Each value is checked by its `PARAM_RANGES` rule and comes
+    until given. Each value is checked by its `numerics.RULES` rule and comes
     back as the rule's kind returns it. Raises ValueError on an unknown
     algorithm or key, a value outside its range, or a family the algorithm
     does not accept.
@@ -176,7 +164,7 @@ def check_run(name: str, family, params: dict) -> dict:
         value = params.get(key, default)
         if value is None and default is None:
             continue
-        out[key] = checked(f"{name}: {key}", value, PARAM_RANGES[key])
+        out[key] = checked(key, value, f"{name}: ")
     if family not in ALGORITHMS[name][1]:
         raise ValueError(f"algorithm '{name}' does not accept problem family '{family}'")
     return out
@@ -197,8 +185,7 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
     f before v_norm_sq before eta) as a loop measuring every step.
     """
     params = check_run(name, problem.spec.get("name"), params)
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T, seed = checked("T", T), checked("seed", seed)
     x = problem.x0.copy() if x0 is None else as_vector(x0)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x.shape}, problem dim is {problem.dim}")
@@ -266,12 +253,8 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
     if keep_iterates:
         iterates[T] = x
 
-    algorithm = {"name": name}
-    algorithm.update(
-        (key, float(value) if PARAM_RANGES[key][0] is real else value)
-        for key, value in params.items()
-    )
-    config = {"algorithm": algorithm, "problem": dict(problem.spec), "T": int(T), "seed": int(seed)}
+    algorithm = {"name": name, **echoed(params)}
+    config = {"algorithm": algorithm, "problem": dict(problem.spec), "T": T, "seed": seed}
     return RunRecord(
         np.arange(1, T + 1, dtype=np.int64), f, grad_norm, v_norm_sq, etas, betas, est_error,
         tau, x_tau, x.copy(), config, iterates, v_history,

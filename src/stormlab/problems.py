@@ -25,7 +25,7 @@ import inspect
 
 import numpy as np
 
-from .numerics import RngStream, Vector, as_vector, checked, gaussian, real, whole
+from .numerics import RngStream, Vector, as_vector, checked, echoed, gaussian
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
@@ -34,19 +34,6 @@ EPSILON = 1e-2  # weight of the nonconvex family's quadratic term
 # doubles per (block rows x chunk) temporary, so a block of iterates never
 # needs a (rows, n) array.
 MEASURE_CHUNK_DOUBLES = 16_384
-
-# Every problem field's kind and range, keyed by field name. The one rule
-# across fields, mu <= L, is in `check_spec`.
-FIELD_RANGES = {
-    "dim": (whole, lambda v: v >= 1, "be >= 1"),
-    "n": (whole, lambda v: v >= 1, "be >= 1"),
-    "inner_dim": (whole, lambda v: v >= 1, "be >= 1"),
-    "seed": (whole, lambda v: True, "be a whole number"),
-    "L": (real, lambda v: v > 0, "be > 0"),
-    "mu": (real, lambda v: v > 0, "be > 0"),
-    "sigma": (real, lambda v: v >= 0, "be >= 0"),
-}
-
 
 class StochasticProblem:
     """Smooth objective with an unbiased sampled-gradient oracle.
@@ -344,8 +331,9 @@ make_compositional = CompositionalProblem
 
 def check_spec(spec: dict) -> dict:
     """The spec with its fields checked as `from_spec` would, without
-    building the problem: each by its `FIELD_RANGES` rule, whole-number
-    fields as ints and real ones as written.
+    building the problem: each by its `numerics.RULES` rule, whole-number
+    fields as ints and real ones as written. The one rule across fields,
+    mu <= L, is here.
 
     Unknown names, unknown or missing fields and out-of-range values raise
     ValueError, so config typos fail loudly instead of silently picking
@@ -368,7 +356,7 @@ def check_spec(spec: dict) -> dict:
     if missing:
         raise ValueError(f"missing fields for problem '{name}': {sorted(missing)}")
     out = {"name": name}
-    out.update((key, checked(key, fields[key], FIELD_RANGES[key])) for key in required)
+    out.update((key, checked(key, fields[key])) for key in required)
     if "mu" in out and out["mu"] > out["L"]:
         raise ValueError(f"need mu <= L, got mu={out['mu']!r}, L={out['L']!r}")
     return out
@@ -380,12 +368,8 @@ def _own_spec(problem, args) -> list:
     floats, and return the spec's values in the constructor's order."""
     fields = {key: value for key, value in args.items() if key != "self"}
     name = next(name for name, cls in FAMILIES.items() if isinstance(problem, cls))
-    spec = check_spec({"name": name, **fields})
-    for key in fields:
-        if FIELD_RANGES[key][0] is real:
-            spec[key] = float(spec[key])
-    problem.spec = spec
-    return [spec[key] for key in fields]
+    problem.spec = echoed(check_spec({"name": name, **fields}))
+    return [problem.spec[key] for key in fields]
 
 
 def from_spec(spec: dict):

@@ -13,6 +13,8 @@ running sum. A run loop builds the law once per stage; `ada_lr` and
 
 from __future__ import annotations
 
+from .numerics import checked
+
 # Guard for the finite-sum law only: a vanishing gradient-norm sum would
 # otherwise divide by zero on problems that start at a stationary point.
 SUM_SQ_FLOOR = 1e-30
@@ -32,10 +34,7 @@ def ada_lr_law(horizon: int, alpha: float):
     horizon**(1/3); it is also the value returned when sum_sq is zero. The
     function does not check sum_sq.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 < alpha < 1.0 / 3.0:
-        raise ValueError(f"alpha must lie in (0, 1/3), got {alpha}")
+    horizon, alpha = checked("horizon", horizon), checked("alpha", alpha)
     flat = float(horizon) ** (-1.0 / 3.0)
     scale = float(horizon) ** ((1.0 - alpha) / 3.0)
 
@@ -56,8 +55,7 @@ def ada_lr(horizon: int, alpha: float, sum_sq: float) -> float:
 
 def ada_beta(horizon: int) -> float:
     """Momentum weight horizon**(-2/3), capped at 1."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = checked("horizon", horizon)
     return min(1.0, float(horizon) ** (-2.0 / 3.0))
 
 
@@ -83,10 +81,7 @@ def finite_sum_lr_law(n: int, alpha: float):
     sequence stays nonincreasing as the sum grows. The function does not
     check sum_sq.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < alpha < 1.0 / 3.0:
-        raise ValueError(f"alpha must lie in (0, 1/3), got {alpha}")
+    n, alpha = checked("n", n), checked("alpha", alpha)
     scale = float(n) ** ((1.0 - alpha) / 2.0)
 
     def lr(sum_sq: float) -> float:
@@ -104,8 +99,7 @@ def finite_sum_lr(n: int, alpha: float, sum_sq: float) -> float:
 
 def finite_sum_beta(n: int) -> float:
     """Momentum weight 1/n for finite sums."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = checked("n", n)
     return 1.0 / float(n)
 
 

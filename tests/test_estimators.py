@@ -373,6 +373,16 @@ def test_snapshot_staleness_raises():
         svrg_update(v, dataclasses.replace(snap, age=2), 0.25, g, g, g)
 
 
+def test_snapshot_period_is_checked_by_its_rule():
+    fs = make_finite_sum(n=4, dim=2, seed=17)
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="^period must be a whole number"):
+            take_snapshot(fs, fs.x0, period=bad)
+    with pytest.raises(ValueError, match="^period must be >= 1, got 0$"):
+        take_snapshot(fs, fs.x0, period=0)
+    assert take_snapshot(fs, fs.x0, period=3.0).period == 3
+
+
 def test_snapshot_full_grad_is_exact():
     fs = make_finite_sum(n=6, dim=3, seed=18)
     snap = take_snapshot(fs, fs.x0, period=6)

@@ -2,13 +2,16 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormlab import problems
+import stormlab
+from stormlab import harness, problems
 from stormlab.cli import main as cli_main
 from stormlab.harness import (
     CHECK_PROBLEMS,
@@ -170,7 +173,10 @@ def test_parse_checks_the_problem_without_building_it(monkeypatch):
 def test_parse_rejects_bad_grid_and_labels():
     doc = _config()
     doc["grid"]["T"] = [0]
-    with pytest.raises(ValueError, match="T values"):
+    with pytest.raises(ValueError, match=r"^grid T must be >= 1, got 0$"):
+        parse_config(doc)
+    doc["grid"]["T"] = []
+    with pytest.raises(ValueError, match="at least one T"):
         parse_config(doc)
     doc = _config()
     doc["grid"]["T"] = [40, 40]
@@ -623,13 +629,66 @@ def test_cli_slopes_missing_file(tmp_path, capsys):
     assert "could not read" in capsys.readouterr().err
 
 
-def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp_path):
+def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp_path, capsys):
     for flag in ("--thin", "--jobs"):
-        out_dir = tmp_path / f"out{flag}"
-        with pytest.raises(SystemExit) as info:
-            cli_main(["run", str(tiny_config_file), "--out", str(out_dir), flag, "0"])
-        assert info.value.code == 2
-        assert not out_dir.exists()
+        for bad, message in (("0", "must be >= 1, got 0"),
+                             ("2.5", "must be a whole number, got 2.5"),
+                             ("true", "must be a whole number, got 'true'")):
+            out_dir = tmp_path / f"out{flag}"
+            with pytest.raises(SystemExit) as info:
+                cli_main(["run", str(tiny_config_file), "--out", str(out_dir), flag, bad])
+            assert info.value.code == 2
+            assert f"argument {flag}: {flag[2:]} {message}" in capsys.readouterr().err
+            assert not out_dir.exists()
+
+
+def test_cli_run_takes_whole_float_counts(tiny_config_file, tmp_path):
+    outputs = []
+    for thin in ("5", "5.0"):
+        out_dir = tmp_path / thin
+        assert cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--thin", thin]) == 0
+        outputs.append(_dir_bytes(out_dir))
+    assert outputs[0] == outputs[1]
+
+
+def test_grid_starts_no_more_workers_than_cells(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class StandIn:
+        """Runs the cells in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+    monkeypatch.setattr(harness, "_worker_problem", None)
+    cfg = parse_config(_config(grid={"T": [20], "seeds": [1, 2]}))  # 4 cells
+    serial = run_grid(cfg)
+    for jobs, workers in ((2, 2), (3, 3), (8, 4)):
+        result = run_grid(cfg, jobs=jobs)
+        assert started.pop() == workers
+        assert result.ok and result.rows == serial.rows
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(stormlab.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import stormlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def test_diverging_cells_fail_and_summary_json_stays_strict(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stormlab.estimators import GradientTable
-from stormlab.harness import parse_config
+from stormlab.harness import parse_config, run_grid, write_trace_csv
 from stormlab.optimizers import (
     ALGORITHMS,
     BLOCK,
@@ -451,6 +453,24 @@ VALUES = {
 
 REGISTRY_PAIRS = [(name, key) for name in sorted(ALGORITHMS) for key in tunables(name)]
 
+# (in range, out of range) for a run's T and seed and a grid's thin and
+# jobs, stated apart from the library. jobs stays at most 2, so that no case
+# starts more than two worker processes.
+_not_whole = st.sampled_from([True, False, 2.7, -0.5, "3", math.nan, math.inf])
+RUN_VALUES = {
+    "T": (st.integers(1, 40) | st.sampled_from([1.0, 30.0]),
+          st.integers(max_value=0) | _not_whole),
+    "seed": (st.integers(-2**63, 2**64) | st.sampled_from([0.0, 2.0, -3.0]), _not_whole),
+    "thin": (st.integers(1, 40) | st.sampled_from([1.0, 3.0]),
+             st.integers(max_value=0) | _not_whole),
+    "jobs": (st.sampled_from([1, 2, 1.0, 2.0]), st.integers(max_value=0) | _not_whole),
+}
+RUN_PAIRS = [(name, key) for name in sorted(ALGORITHMS) for key in ("T", "seed")]
+RUN_PAIRS += [("sgd", "thin"), ("sgd", "jobs")]
+# Where a config holds a run-level value, and the prefix of its messages there.
+CONFIG_PLACES = {"T": ("grid", "T", "grid "), "seed": ("grid", "seeds", "grid "),
+                 "thin": ("output", "thin", "output ")}
+
 
 def _outcome(fn):
     """("ok", result) when fn passes entry checks, ("rejected", message) if not."""
@@ -477,33 +497,64 @@ def test_registry_covers_every_tunable():
     }
 
 
-@pytest.mark.parametrize("name,key", REGISTRY_PAIRS)
+def _entry_points(name, key, value, scratch):
+    """Every public entry point that takes `key`, each as a call passing
+    `value`: parse_config with `value` in its config place, then the runs."""
+    spec = REGISTRY_PROBLEMS[min(ALGORITHMS[name][1])]
+    problem = from_spec(spec)
+    doc = {"problem": spec, "algorithm": {"name": name}, "grid": {"T": 30, "seeds": 1}}
+    calls = {}
+    if key in ("thin", "jobs"):
+        grid = parse_config(doc)
+        record = run_algorithm(name, problem, 30, 1)
+        calls["run_grid"] = lambda: run_grid(grid, out_dir=scratch, **{key: value})
+        if key == "thin":
+            path = os.path.join(scratch, "trace.csv")
+            calls["write_trace_csv"] = lambda: write_trace_csv(record, path, thin=value)
+    elif key in CONFIG_PLACES:
+        cell = {"T": 30, "seed": 1, key: value}
+        calls["run_algorithm"] = lambda: run_algorithm(name, problem, cell["T"], cell["seed"])
+    else:
+        doc["algorithm"][key] = value
+        calls["run_algorithm"] = lambda: run_algorithm(name, problem, 30, 1, **{key: value})
+    if key in CONFIG_PLACES:
+        section, field, _ = CONFIG_PLACES[key]
+        doc.setdefault(section, {})[field] = value
+    if key != "jobs":  # the one value a config does not hold
+        calls = {"parse_config": lambda: parse_config(doc), **calls}
+    return calls
+
+
+@pytest.mark.parametrize("name,key", REGISTRY_PAIRS + RUN_PAIRS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_parse_config_accepts_exactly_what_the_runner_accepts(name, key, data):
     in_range = data.draw(st.booleans(), label="in_range")
-    value = data.draw(VALUES[key][0 if in_range else 1], label=key)
-    spec = REGISTRY_PROBLEMS[min(ALGORITHMS[name][1])]
-    doc = {"problem": spec, "algorithm": {"name": name, key: value},
-           "grid": {"T": 30, "seeds": 1}}
-    parsed, parse_detail = _outcome(lambda: parse_config(doc))
-    problem = from_spec(spec)
-
-    def run():
-        return run_algorithm(name, problem, 30, 1, **{key: value})
-
-    ran, run_detail = _outcome(run)
+    value = data.draw({**VALUES, **RUN_VALUES}[key][0 if in_range else 1], label=key)
+    with tempfile.TemporaryDirectory() as scratch:
+        calls = _entry_points(name, key, value, scratch)
+        outcomes = {entry: _outcome(call) for entry, call in calls.items()}
+        if "run_algorithm" in calls:
+            # a whole float runs as its integer
+            again = int(value) if key in ("T", "seed") and in_range else value
+            calls = _entry_points(name, key, again, scratch)
+            rerun = _outcome(calls["run_algorithm"])[1]
     expected = "ok" if in_range else "rejected"
-    assert parsed == ran == expected, (parse_detail, run_detail)
+    assert {entry: status for entry, (status, _) in outcomes.items()} == dict.fromkeys(
+        outcomes, expected), outcomes
+    details = {entry: detail for entry, (_, detail) in outcomes.items()}
     if expected == "rejected":
-        assert parse_detail == run_detail
-        assert re.search(rf"\b{key}\b", run_detail)
+        prefix = CONFIG_PLACES[key][2] if key in CONFIG_PLACES else ""
+        parsed = details.pop("parse_config", None)
+        (message,) = set(details.values())
+        assert parsed in (None, prefix + message), (parsed, message)
+        assert re.search(rf"\b{key}\b", message)
         return
-    again = _outcome(run)[1]
-    if isinstance(run_detail, str):
-        assert again == run_detail
-    else:
-        _assert_records_equal(run_detail, again)
+    if "run_algorithm" in details:
+        if isinstance(details["run_algorithm"], str):
+            assert rerun == details["run_algorithm"]
+        else:
+            _assert_records_equal(details["run_algorithm"], rerun)
 
 
 class _SpecOnly:

@@ -54,6 +54,19 @@ def test_ada_lr_rejects_bad_args():
         ada_lr(100, 0.3, -1.0)
 
 
+def test_set_up_laws_check_counts_by_their_rule():
+    for call, key in ((lambda: ada_lr(2.5, 0.3, 1.0), "horizon"),
+                      (lambda: ada_beta(True), "horizon"),
+                      (lambda: finite_sum_lr(7.5, 0.3, 1.0), "n"),
+                      (lambda: finite_sum_beta(False), "n")):
+        with pytest.raises(ValueError, match=f"^{key} must be a whole number"):
+            call()
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1/3\), got 0.5$"):
+        finite_sum_lr(10, 0.5, 1.0)
+    assert ada_beta(8.0) == ada_beta(8) == 0.25
+    assert finite_sum_lr(10.0, 0.3, 2.0) == finite_sum_lr(10, 0.3, 2.0)
+
+
 @given(alphas, sums, sums)
 @settings(max_examples=200)
 def test_ada_lr_nonincreasing_in_sum(alpha, s1, s2):
