@@ -21,7 +21,6 @@ from .analysis import (
 from .estimators import (
     GradientTable,
     Snapshot,
-    StaleSnapshotError,
     comp_grad_update,
     comp_inner_update,
     finite_sum_update,

@@ -41,7 +41,11 @@ def _cmd_run(args) -> int:
     if not path:
         print("run: a config path is required (positional or --config)", file=sys.stderr)
         return 2
-    config = load_config(path)
+    try:
+        config = load_config(path)
+    except (OSError, ValueError) as exc:
+        print(f"run: could not load '{path}': {exc}", file=sys.stderr)
+        return 2
     out_dir = args.out or config.out_dir or "runs"
     result = run_grid(config, jobs=args.jobs, out_dir=out_dir, thin=args.thin)
     for row in result.rows:

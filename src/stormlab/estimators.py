@@ -208,31 +208,21 @@ def finite_sum_update(
     return v_new, table.updated(i, grad_new)
 
 
-class StaleSnapshotError(RuntimeError):
-    """An anchor outlived its refresh period; the caller missed a refresh."""
-
-
-def check_fresh(age: int, period: int) -> None:
-    """Raise StaleSnapshotError once an anchor has been used `period` times."""
-    if age >= period:
-        raise StaleSnapshotError(f"snapshot age {age} reached its period {period}")
-
-
 @dataclass(frozen=True)
 class Snapshot:
     """Full-gradient anchor for the periodic-refresh estimator variant."""
 
     x: np.ndarray
     full_grad: np.ndarray
-    age: int
     period: int
 
 
 def take_snapshot(problem, x, period: int) -> Snapshot:
-    """Anchor at x with the exact full gradient; age starts at zero."""
+    """Anchor at x with the exact full gradient, to be refreshed every
+    `period` steps."""
     period = checked("period", period)
     x = np.array(x, dtype=np.float64)
-    return Snapshot(x=x, full_grad=problem.full_grad(x), age=0, period=period)
+    return Snapshot(x=x, full_grad=problem.full_grad(x), period=period)
 
 
 def svrg_update(
@@ -244,11 +234,9 @@ def svrg_update(
             - beta * (grad_anchor - full_grad(anchor))
 
     where grad_anchor is the sampled component's gradient at the snapshot
-    point. Raises StaleSnapshotError when the snapshot has been used for a
-    full period without a refresh.
+    point.
     """
     v_prev, grad_new, grad_old = check_recursion(beta, v_prev, grad_new, grad_old)
-    check_fresh(snapshot.age, snapshot.period)
     grad_anchor = np.asarray(grad_anchor, dtype=np.float64)
     _check_same_shape(v_prev, grad_anchor, snapshot.full_grad)
     return _corrected(v_prev, beta, grad_new, grad_old, grad_anchor, snapshot.full_grad)

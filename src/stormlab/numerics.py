@@ -131,6 +131,9 @@ def _label_entropy(label) -> int:
 class RngStream:
     """Deterministic random stream addressed by (seed, label path).
 
+    The root's seed is checked by its `numerics.RULES` rule, so 2.7, True
+    and "3" raise ValueError instead of being cast to a whole number.
+
     A child stream is derived with `child(label)` and depends only on the
     seed and the labels, never on how many siblings were derived before it,
     so adding a new consumer leaves every existing stream untouched. Two
@@ -149,15 +152,21 @@ class RngStream:
     __slots__ = ("seed", "path", "_gen", "_buf", "_pos", "_size", "_kind", "_param", "_state")
 
     def __init__(self, seed: int, path: tuple = ()):
-        self.seed = int(seed)
-        self.path = tuple(path)
+        self._start(checked("seed", seed), tuple(path))
+
+    def _start(self, seed, path):
+        self.seed = seed
+        self.path = path
         self._gen = None
         self._buf = None
         self._pos = self._size = 0
         self._kind = self._param = self._state = None
 
     def child(self, label) -> "RngStream":
-        return RngStream(self.seed, self.path + (label,))
+        # The seed was checked at the root; a child takes it as it is.
+        stream = RngStream.__new__(RngStream)
+        stream._start(self.seed, self.path + (label,))
+        return stream
 
     @property
     def generator(self) -> np.random.Generator:

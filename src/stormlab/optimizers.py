@@ -16,6 +16,13 @@ t's bits depend only on t and x_t, not on T. A uniformly random reporting
 index tau is drawn from its own stream so that it never perturbs the
 iterate randomness.
 
+A horizon-free finite-sum run repeats a shorter run's blocks bit for bit,
+so `FiniteSumProblem.value_and_grad` returns a block it has measured before
+from memory, keyed on the block's exact bytes and bounded by the bytes of
+the problem's features. Nothing else is reused: every oracle call, full
+pass and table fill computes, so a run's oracle cost in a grid is its cost
+alone.
+
 The random streams are read per block too: every oracle draw and component
 index comes from its stream's BLOCK-draw buffer (`RngStream.normals` and
 `RngStream.index`), whose values are exactly those of one generator call
@@ -49,7 +56,6 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     _comp_grad,
     _corrected,
     _storm,
-    check_fresh,
     check_recursion,
     comp_grad_update,
     comp_inner_update,
@@ -407,16 +413,13 @@ def _fs_storm_svrg_steps(problem, T, x, root, alpha, period, eta_const=None):
     v = snapshot.full_grad.copy()
     check_recursion(beta, v, x)
     component_grad = problem.component_grad
-    age = 0  # uses of the current anchor, as `Snapshot.age` counts them
     sum_sq = 0.0
 
     def step(t, x, x_prev):
-        nonlocal v, snapshot, age, sum_sq
+        nonlocal v, snapshot, sum_sq
         if t > 1:
             if t % period == 0:
-                snapshot, age = take_snapshot(problem, x, period), 0
-            check_fresh(age, period)
-            age += 1
+                snapshot = take_snapshot(problem, x, period)
             i = index_rng.index(n)
             v = _corrected(
                 v, beta, component_grad(i, x), component_grad(i, x_prev),

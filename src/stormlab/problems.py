@@ -182,6 +182,8 @@ class FiniteSumProblem(StochasticProblem):
         self.L = float(2.0 * row_sq.max())  # |l''| <= 2
         self.x0 = root.child("x0").generator.standard_normal(dim)
         self.delta_f = self.objective(self.x0)  # losses are bounded below by 0
+        self._measured = {}  # (shape, dtype, bytes) of a block -> its (f, G)
+        self._measured_bytes = 0
 
     @staticmethod
     def _loss(r):
@@ -208,6 +210,30 @@ class FiniteSumProblem(StochasticProblem):
         return self.features.T @ self._dloss(r) / self.n
 
     def value_and_grad(self, X):
+        """f (B,) and the exact gradients (B, dim) at the rows of X, both
+        read-only, remembered by X's shape, dtype and exact bytes.
+
+        A horizon-free run is a bit-exact prefix of a longer one, so a
+        horizon grid measures the same blocks again. A result is kept only
+        while the kept keys and results together fit in `features.nbytes`:
+        at n = 20 000, dim 20 that is about 150 blocks of 64 rows, and at
+        n = 100 no block fits. Only this measurement is remembered; the
+        oracles and `full_grad` compute on every call, so what a run counts
+        as its oracle cost never changes.
+        """
+        key = (X.shape, X.dtype, X.tobytes())
+        known = self._measured.get(key)
+        if known is not None:
+            return known
+        f, G = self._measure(X)
+        f.flags.writeable = G.flags.writeable = False
+        size = len(key[2]) + f.nbytes + G.nbytes
+        if self._measured_bytes + size <= self.features.nbytes:
+            self._measured[key] = f, G
+            self._measured_bytes += size
+        return f, G
+
+    def _measure(self, X):
         """Block measurement as two GEMMs per chunk of components.
 
         With q = 1 + r^2 and w = 1/q, the loss is r^2 w and its derivative

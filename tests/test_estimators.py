@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from stormlab.estimators import (
     GradientTable,
     Snapshot,
-    StaleSnapshotError,
     comp_grad_update,
     comp_inner_update,
     finite_sum_update,
@@ -147,7 +145,7 @@ def test_comp_grad_update_shape_validation():
 def test_every_update_checks_beta_and_its_own_shapes():
     v, g, jac = np.zeros(2), np.ones(2), np.eye(2)
     table = GradientTable(np.zeros((3, 2)), np.zeros(2))
-    snapshot = Snapshot(np.zeros(2), np.zeros(2), 0, 5)
+    snapshot = Snapshot(np.zeros(2), np.zeros(2), 5)
     updates = [
         lambda beta: comp_inner_update(v, beta, g, g),
         lambda beta: comp_grad_update(v, beta, g, jac, g, jac),
@@ -166,7 +164,7 @@ def test_every_update_checks_beta_and_its_own_shapes():
     with pytest.raises(ValueError, match="shape"):
         svrg_update(v, snapshot, 0.5, g, g, np.ones(3))
     with pytest.raises(ValueError, match="shape"):
-        svrg_update(v, Snapshot(np.zeros(3), np.zeros(3), 0, 5), 0.5, g, g, g)
+        svrg_update(v, Snapshot(np.zeros(3), np.zeros(3), 5), 0.5, g, g, g)
 
 
 def test_comp_grad_update_matches_direct_formula():
@@ -360,17 +358,6 @@ def test_svrg_multi_step_enumeration_unbiased():
         np.testing.assert_allclose(
             total / len(paths), fs.full_grad(xs[step + 1]), atol=1e-10
         )
-
-
-def test_snapshot_staleness_raises():
-    fs = make_finite_sum(n=4, dim=2, seed=17)
-    snap = take_snapshot(fs, fs.x0, period=2)
-    g = fs.component_grad(0, fs.x0)
-    v = snap.full_grad
-    svrg_update(v, snap, 0.25, g, g, g)  # age 0: fine
-    svrg_update(v, dataclasses.replace(snap, age=1), 0.25, g, g, g)  # age 1: fine
-    with pytest.raises(StaleSnapshotError):  # age 2 = period: missed refresh
-        svrg_update(v, dataclasses.replace(snap, age=2), 0.25, g, g, g)
 
 
 def test_snapshot_period_is_checked_by_its_rule():

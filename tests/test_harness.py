@@ -640,6 +640,20 @@ def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp
             assert info.value.code == 2
             assert f"argument {flag}: {flag[2:]} {message}" in capsys.readouterr().err
             assert not out_dir.exists()
+    # a config that cannot be read or parsed is a usage error too, not a failed cell
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(tiny_config_file.read_text()[:-5])
+    zero_dim = tmp_path / "zero_dim.json"
+    doc = json.loads(tiny_config_file.read_text())
+    doc["problem"]["dim"] = 0
+    zero_dim.write_text(json.dumps(doc))
+    for path in (tmp_path / "nope.json", truncated, zero_dim):
+        out_dir = tmp_path / f"out-{path.stem}"
+        assert cli_main(["run", str(path), "--out", str(out_dir)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"run: could not load '{path}': ")
+        assert not out_dir.exists()
+    assert "dim must be >= 1, got 0" in line
 
 
 def test_cli_run_takes_whole_float_counts(tiny_config_file, tmp_path):

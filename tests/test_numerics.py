@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stormlab import numerics
 from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, gaussian, norm_sq
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -81,6 +82,19 @@ def test_child_derivation_is_order_independent():
     fresh_root.child("b")
     second = fresh_root.child("x").generator.standard_normal(8)
     np.testing.assert_array_equal(first, second)
+
+
+def test_root_seed_is_checked_once_by_its_rule(monkeypatch):
+    for bad in (2.7, True, "3"):
+        with pytest.raises(ValueError, match=r"^seed must be a whole number"):
+            RngStream(bad)
+    draws = RngStream(np.int64(3)).child("x").generator.standard_normal(4)
+    np.testing.assert_array_equal(draws, RngStream(3).child("x").generator.standard_normal(4))
+    calls = []
+    check = numerics.checked
+    monkeypatch.setattr(numerics, "checked", lambda *args: calls.append(args) or check(*args))
+    RngStream(5).child("a").child("b")
+    assert calls == [("seed", 5)]
 
 
 def test_nested_paths_replay_bit_identically():

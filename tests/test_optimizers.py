@@ -26,6 +26,7 @@ from stormlab.optimizers import (
     warmup_batch_size,
 )
 from stormlab.problems import (
+    FiniteSumProblem,
     from_spec,
     make_compositional,
     make_finite_sum,
@@ -363,6 +364,27 @@ def test_fs_variants_converge(fsum):
     svrg = run_fs_storm_svrg(fsum, 5000, seed=2)
     assert sag.grad_norm[-1] < 1e-4
     assert svrg.grad_norm[-1] < 1e-4
+
+
+def test_horizon_free_finite_sum_runs_share_measured_blocks(monkeypatch):
+    # n = 2000 keeps measured blocks, so the longer runs on one problem reuse
+    # the blocks of the shorter ones; every record must equal a lone run's.
+    spec = {"name": "finite_sum", "n": 2000, "dim": 5, "seed": 5}
+    runs = [(name, T) for name in ("fs_storm", "fs_storm_svrg") for T in (64, 130, 300)]
+    alone = [run_algorithm(name, from_spec(spec), T, 1) for name, T in runs]
+    measured = []
+    measure = FiniteSumProblem._measure
+    monkeypatch.setattr(FiniteSumProblem, "_measure",
+                        lambda self, X: measured.append(X.tobytes()) or measure(self, X))
+    shared = from_spec(spec)
+    for (name, T), want in zip(runs, alone):
+        got = run_algorithm(name, shared, T, 1)
+        _assert_records_equal(got, want)
+        for col, values in got.columns().items():
+            assert values.tobytes() == want.columns()[col].tobytes(), (name, T, col)
+    # 18 blocks in all; each algorithm's runs hold 6 distinct ones (the
+    # partial last block of a run carries rows of the block before it).
+    assert len(measured) == len(set(measured)) == 12
 
 
 # --- baselines ------------------------------------------------------------------

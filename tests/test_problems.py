@@ -229,6 +229,80 @@ def test_component_index_out_of_range(fsum):
         fsum.component_grad(-1, fsum.x0)
 
 
+# --- finite-sum block measurement reuse --------------------------------------
+
+# Large enough to keep measured blocks: 80 000 B of features hold 14 blocks of
+# 64 x 5 rows, each 5 632 B with its key and results.
+KEEPS_BLOCKS = {"name": "finite_sum", "n": 2000, "dim": 5, "seed": 5}
+
+
+def _count_measures(monkeypatch):
+    """Make `FiniteSumProblem._measure` append each block's bytes to the
+    returned list."""
+    measured = []
+    measure = FiniteSumProblem._measure
+
+    def counted(self, X):
+        measured.append(X.tobytes())
+        return measure(self, X)
+
+    monkeypatch.setattr(FiniteSumProblem, "_measure", counted)
+    return measured
+
+
+def test_finite_sum_measures_each_distinct_block_once(monkeypatch):
+    gen = np.random.default_rng(3)
+    blocks = [gen.standard_normal((BLOCK, 5)) for _ in range(3)]
+    fresh = [from_spec(KEEPS_BLOCKS)._measure(X) for X in blocks]
+    measured = _count_measures(monkeypatch)
+    problem = from_spec(KEEPS_BLOCKS)
+    for X, want in zip(blocks * 3, fresh * 3):
+        f, g = problem.value_and_grad(X.copy())
+        assert _same_bits(f, want[0]) and _same_bits(g, want[1])
+    assert measured == [X.tobytes() for X in blocks]
+
+
+def test_finite_sum_measurements_are_read_only():
+    problem = from_spec(KEEPS_BLOCKS)
+    X = np.ones((BLOCK, 5))
+    for f, g in (problem.value_and_grad(X), problem.value_and_grad(X)):  # a miss, a hit
+        assert not f.flags.writeable and not g.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0] = 0.0
+    assert len(problem._measured) == 1
+
+
+def test_finite_sum_keeps_blocks_within_its_features_bytes(monkeypatch):
+    problem = from_spec(KEEPS_BLOCKS)
+    gen = np.random.default_rng(4)
+    blocks = [gen.standard_normal((BLOCK, 5)) for _ in range(20)]
+    for X in blocks:
+        problem.value_and_grad(X)
+        kept = sum(len(key[2]) + f.nbytes + g.nbytes
+                   for key, (f, g) in problem._measured.items())
+        assert kept == problem._measured_bytes <= problem.features.nbytes
+    assert len(problem._measured) == 14
+    measured = _count_measures(monkeypatch)
+    for X in blocks:
+        problem.value_and_grad(X)
+    assert measured == [X.tobytes() for X in blocks[14:]]  # what was not kept
+    # At n = 100 (the rate-grid finite sum) no block fits, so none is kept.
+    small = from_spec({"name": "finite_sum", "n": 100, "dim": 20, "seed": 13})
+    X = gen.standard_normal((BLOCK, 20))
+    small.value_and_grad(X)
+    small.value_and_grad(X)
+    assert len(measured) == 6 + 2 and small._measured == {} and small._measured_bytes == 0
+
+
+def test_finite_sum_same_bytes_with_another_dtype_miss(monkeypatch):
+    measured = _count_measures(monkeypatch)
+    problem = from_spec(KEEPS_BLOCKS)
+    X = np.random.default_rng(5).standard_normal((BLOCK, 5))
+    problem.value_and_grad(X)
+    problem.value_and_grad(X.view(np.int64))
+    assert len(measured) == 2 and measured[0] == measured[1]
+
+
 # --- gradient checking -------------------------------------------------------
 
 

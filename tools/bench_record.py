@@ -4,12 +4,16 @@ Runs `bench/run.py --trace 0` on every workload for two checkouts of
 stormlab, alternating which side runs first from pair to pair, keeps the
 final JSON line of each run, and writes per-workload medians and quartiles
 of every end-to-end metric, the change's wins per pair and the machine.
-Acceptance criteria 6-9 run the same way, `--pairs` times per side in
-alternating pairs, and each criterion's wall time is recorded as a median
-and quartiles per side:
+Acceptance criteria 6-9 run the same way, `--criteria-pairs` times per
+side (default `--pairs`) in alternating pairs, and each criterion's wall
+time is recorded as a median and quartiles per side:
 
     python3 tools/bench_record.py --parent ../parent --change . \\
         --pairs 5 --seeds 1 7 --out BENCH_6.json
+
+One pair of criteria runs takes about seven minutes on a 2-core host, so
+ten workload pairs with ten criteria pairs would take close to three hours;
+`--criteria-pairs 3` keeps the criteria's wall times without that cost.
 
 Every run uses bench/run.py's own default run length.
 
@@ -164,10 +168,14 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--criteria-pairs", type=int, default=None,
+                        help="pairs of acceptance-criteria runs (default: --pairs)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2: quartiles need two runs per side")
+    criteria_pairs = args.pairs if args.criteria_pairs is None else args.criteria_pairs
+    if min(args.pairs, criteria_pairs) < 2:
+        parser.error("--pairs and --criteria-pairs must be >= 2: quartiles need two runs "
+                     "per side")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     runs = {}
@@ -193,7 +201,8 @@ def main(argv=None) -> int:
         "order": "alternating: parent first in odd-numbered pairs",
         "sources": {side: {"src_sha256": source_digest(path)} for side, path in checkouts.items()},
         "workloads": summarize(runs),
-        "tier1_criteria_s": tier1_pairs(checkouts, args.pairs),
+        "criteria_pairs": criteria_pairs,
+        "tier1_criteria_s": tier1_pairs(checkouts, criteria_pairs),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

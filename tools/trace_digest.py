@@ -2,14 +2,17 @@
 
 Three digests, one per line:
 
-* runs       - 32 direct runs: every algorithm on every problem family it
+* runs       - 36 direct runs: every algorithm on every problem family it
                accepts, at T = 300 and again at T = 130 with
                `keep_iterates` (sgd and storm_original with non-default
                parameters there), plus fs_storm_svrg with `period` and with
-               `period`/`eta_const`. Each run hashes its seven trace
-               columns, tau, x_tau, x_final, the config JSON in key order,
-               iterates and estimates.
-* unmeasured - the same 32 runs without the three measured columns (f,
+               `period`/`eta_const`, plus fs_storm and then fs_storm_svrg at
+               T = 130 and then 300 on one finite sum large enough
+               (n = 2000) to keep measured blocks, so the T = 300 runs
+               reuse the T = 130 runs' blocks. Each run hashes its seven
+               trace columns, tau, x_tau, x_final, the config JSON in key
+               order, iterates and estimates.
+* unmeasured - the same 36 runs without the three measured columns (f,
                grad_norm, est_error): everything the algorithms compute,
                which a change to how the trace is measured must not move.
 * artifacts  - every file `write_outputs` writes for the criterion-11
@@ -45,6 +48,8 @@ THREE_ALGORITHMS = {
     "grid": {"T": [50, 90], "seeds": [1, 2]},
     "output": {"thin": 3},
 }
+# At n = 2000, dim 5 about 14 measured blocks fit in the features' bytes.
+KEEPS_BLOCKS = {"name": "finite_sum", "n": 2000, "dim": 5, "seed": 5}
 AS_WRITTEN = {
     "problem": {"name": "noisy_quadratic", "dim": 6.0, "L": 4, "mu": 1, "sigma": 1, "seed": 5.0},
     "algorithms": [{"name": "sgd", "eta0": 1, "decay": 1},
@@ -77,10 +82,14 @@ def _runs():
     finite_sum = problems.from_spec(specs["finite_sum"])
     for params in ({"period": 7}, {"period": 7, "eta_const": 0.05}):
         yield optimizers.run_algorithm("fs_storm_svrg", finite_sum, 200, 3, **params)
+    keeps_blocks = problems.from_spec(KEEPS_BLOCKS)
+    for name in ("fs_storm", "fs_storm_svrg"):
+        for T in (130, 300):
+            yield optimizers.run_algorithm(name, keeps_blocks, T, 1)
 
 
 def runs_digests() -> tuple[str, str]:
-    """(runs, unmeasured) digests over the same 32 runs."""
+    """(runs, unmeasured) digests over the same 36 runs."""
     runs, unmeasured = hashlib.sha256(), hashlib.sha256()
     for record in _runs():
         _hash_run(runs, record)
