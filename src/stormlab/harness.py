@@ -22,7 +22,7 @@ import numpy as np
 
 from . import problems
 from .analysis import fit_loglog_slope, prefix_power_sum_bounds, summarize
-from .numerics import RngStream, checked
+from .numerics import REQUIRED, RngStream, checked, checked_fields
 from .optimizers import RunRecord, check_run, run_algorithm
 
 
@@ -62,91 +62,69 @@ class ExperimentConfig:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _require_keys(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+def _parse_algorithm(entry, family) -> dict:
+    """A config's algorithm entry: its name, its label and its tunables as
+    `check_run` returns them. The label names the entry's files, so it is a
+    nonempty string without a path separator."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"algorithm must be a JSON object, got {entry!r}")
+    name = entry.get("name")
+    params = check_run(name, family, {k: v for k, v in entry.items() if k not in ("name", "label")})
+    label = entry.get("label", name)
+    if not isinstance(label, str) or not label or "/" in label or "\\" in label:
+        raise ValueError(f"algorithm label must be a nonempty string without '/' or '\\', "
+                         f"got {label!r}")
+    return {"name": name, "label": label, **dict(sorted(params.items()))}
 
 
-def _parse_algorithm(entry: dict, problem_name: str) -> dict:
-    if "name" not in entry:
-        raise ValueError("algorithm entry needs a 'name' field")
-    name = entry["name"]
-    params = {k: v for k, v in entry.items() if k not in ("name", "label")}
-    out = {"name": name, "label": str(entry.get("label", name))}
-    out.update(sorted(check_run(name, problem_name, params).items()))
-    return out
+def _grid_values(grid, field, key) -> list:
+    """grid[field], a value or a list of them, as a nonempty list of
+    distinct values each checked by `numerics.RULES[key]`."""
+    values = grid[field] if isinstance(grid[field], list) else [grid[field]]
+    values = [checked(key, value, "grid ") for value in values]
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"grid {field} must be nonempty and distinct, got {values}")
+    return values
 
 
 def parse_config(doc) -> ExperimentConfig:
     """Validate a config given as JSON text or an already-parsed mapping.
 
-    Unknown keys anywhere are rejected, exactly one of 'algorithm' or
-    'algorithms' must be present, T values and seeds must be distinct, and
-    every named value (T, seed, thin, the problem's fields and the
-    algorithms' tunables) is checked by its `numerics.RULES` rule here
-    rather than deep in a grid cell: a whole number is never a bool, 10.0 is
-    10 and 10.5 is an error. The problem is checked by
-    `problems.check_spec`, not built.
+    The config and every object in it must be a JSON object without unknown
+    or missing keys (`numerics.checked_fields`), exactly one of 'algorithm'
+    or 'algorithms' must be present, T values and seeds must be distinct,
+    and every named value is checked by its `numerics.RULES` rule here
+    rather than deep in a grid cell: a whole number is never a bool, 10.0
+    is 10 and 10.5 is an error. The problem is checked, not built.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    _require_keys(doc, {"problem", "algorithm", "algorithms", "grid", "output"}, "config")
-    for key in ("problem", "grid"):
-        if key not in doc:
-            raise ValueError(f"config is missing '{key}'")
+    doc = checked_fields(doc, {"problem": REQUIRED, "algorithm": None, "algorithms": None,
+                               "grid": REQUIRED, "output": {}}, "config")
+    problem_spec = problems.check_spec(doc["problem"])
 
-    problem_spec = problems.check_spec(dict(doc["problem"]))
-    problem_name = problem_spec["name"]
-
-    if ("algorithm" in doc) == ("algorithms" in doc):
+    if (doc["algorithm"] is None) == (doc["algorithms"] is None):
         raise ValueError("config needs exactly one of 'algorithm' or 'algorithms'")
-    raw_algos = doc.get("algorithms", None)
-    if raw_algos is None:
-        raw_algos = [doc["algorithm"]]
+    raw_algos = doc["algorithms"] if doc["algorithm"] is None else [doc["algorithm"]]
     if not isinstance(raw_algos, list) or not raw_algos:
         raise ValueError("'algorithms' must be a nonempty list")
-    algos = [_parse_algorithm(dict(a), problem_name) for a in raw_algos]
+    algos = [_parse_algorithm(a, problem_spec["name"]) for a in raw_algos]
     labels = [a["label"] for a in algos]
     if len(set(labels)) != len(labels):
         raise ValueError(f"algorithm labels must be unique, got {labels}")
 
-    grid = dict(doc["grid"])
-    _require_keys(grid, {"T", "seeds"}, "grid")
-    if "T" not in grid or "seeds" not in grid:
-        raise ValueError("grid needs both 'T' and 'seeds'")
-    T_grid = grid["T"] if isinstance(grid["T"], list) else [grid["T"]]
-    T_grid = [checked("T", t, "grid ") for t in T_grid]
-    if not T_grid:
-        raise ValueError("grid needs at least one T")
-    if len(set(T_grid)) != len(T_grid):
-        raise ValueError(f"grid T values must be distinct, got {T_grid}")
-    seeds = grid["seeds"] if isinstance(grid["seeds"], list) else [grid["seeds"]]
-    seeds = [checked("seed", s, "grid ") for s in seeds]
-    if not seeds:
-        raise ValueError("grid needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"duplicate seeds are not allowed, got {seeds}")
-
-    out_dir = None
-    thin = 1
-    if "output" in doc:
-        output = dict(doc["output"])
-        _require_keys(output, {"directory", "thin"}, "output")
-        out_dir = output.get("directory")
-        if out_dir is not None:
-            out_dir = str(out_dir)
-        thin = checked("thin", output.get("thin", 1), "output ")
+    grid = checked_fields(doc["grid"], {"T": REQUIRED, "seeds": REQUIRED}, "grid")
+    output = checked_fields(doc["output"], {"directory": None, "thin": 1}, "output")
+    if output["directory"] == "" or not isinstance(output["directory"], (str, type(None))):
+        raise ValueError(f"output directory must be a nonempty string, got {output['directory']!r}")
 
     return ExperimentConfig(
         problem=problem_spec,
         algorithms=algos,
-        T_grid=T_grid,
-        seeds=seeds,
-        out_dir=out_dir,
-        thin=thin,
+        T_grid=_grid_values(grid, "T", "T"),
+        seeds=_grid_values(grid, "seeds", "seed"),
+        out_dir=output["directory"],
+        thin=checked("thin", output["thin"], "output "),
     )
 
 
@@ -246,7 +224,8 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None, thin=None) -
 
     Cells are independent; jobs > 1 fans them out to worker processes and
     the merged result is identical to a serial run. The problem is built
-    once per grid (no run changes it) and handed to every cell and worker.
+    once per grid (no run changes what it computes) and handed to every cell
+    and worker.
     A failing cell is reported in `failures` without stopping the rest of
     the grid, and so is a cell whose worker process dies.
 

@@ -96,6 +96,33 @@ def checked(key, value, where=""):
     return value
 
 
+REQUIRED = object()  # the default of a field that must be given
+
+
+def checked_fields(given, fields, where, prefix=None) -> dict:
+    """`given`'s value or else the default of each field in `fields` (name ->
+    default or REQUIRED), in that order. A `given` that is no dict, an
+    unknown name or a missing required one raises ValueError naming `where`.
+    With a `prefix`, each value is checked by `checked(name, value, prefix)`
+    and a None whose default is None is left out."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be a JSON object, got {given!r}")
+    unknown = given.keys() - fields.keys()
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [key for key, default in fields.items() if default is REQUIRED and key not in given]
+    if missing:
+        raise ValueError(f"missing keys in {where}: {sorted(missing)}")
+    out = {key: given.get(key, default) for key, default in fields.items()}
+    if prefix is None:
+        return out
+    return {
+        key: checked(key, value, prefix)
+        for key, value in out.items()
+        if not (value is None and fields[key] is None)
+    }
+
+
 def echoed(values: dict) -> dict:
     """values with each one whose rule is of kind `real` as a float, as runs
     and problems echo their checked values; other values are unchanged."""

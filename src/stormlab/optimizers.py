@@ -65,7 +65,7 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     svrg_update,
     take_snapshot,
 )
-from .numerics import BLOCK, RngStream, as_vector, checked, echoed, norm_sq
+from .numerics import BLOCK, RngStream, as_vector, checked, checked_fields, echoed, norm_sq
 from .schedules import (  # noqa: F401 - bench/tracer.py wraps ada_lr, finite_sum_lr here
     ada_beta,
     ada_lr,
@@ -134,9 +134,10 @@ def warmup_batch_size(horizon: int) -> int:
 _RUN_ARGS = {"problem", "T", "seed", "x0", "keep_iterates"}
 
 def _registered(name: str):
-    """ALGORITHMS[name]; an unknown name raises ValueError."""
-    if name not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm '{name}', expected one of {sorted(ALGORITHMS)}")
+    """ALGORITHMS[name]; an unknown name, or one that is no string, raises
+    ValueError."""
+    if not isinstance(name, str) or name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}, expected one of {sorted(ALGORITHMS)}")
     return ALGORITHMS[name]
 
 
@@ -161,16 +162,7 @@ def check_run(name: str, family, params: dict) -> dict:
     algorithm or key, a value outside its range, or a family the algorithm
     does not accept.
     """
-    defaults = tunables(name)
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown keys in algorithm '{name}': {sorted(unknown)}")
-    out = {}
-    for key, default in defaults.items():
-        value = params.get(key, default)
-        if value is None and default is None:
-            continue
-        out[key] = checked(key, value, f"{name}: ")
+    out = checked_fields(params, tunables(name), f"algorithm '{name}'", prefix=f"{name}: ")
     if family not in ALGORITHMS[name][1]:
         raise ValueError(f"algorithm '{name}' does not accept problem family '{family}'")
     return out

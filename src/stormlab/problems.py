@@ -25,7 +25,7 @@ import inspect
 
 import numpy as np
 
-from .numerics import RngStream, Vector, as_vector, checked, echoed, gaussian
+from .numerics import REQUIRED, RngStream, Vector, as_vector, checked_fields, echoed, gaussian
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
@@ -361,28 +361,19 @@ def check_spec(spec: dict) -> dict:
     fields as ints and real ones as written. The one rule across fields,
     mu <= L, is here.
 
-    Unknown names, unknown or missing fields and out-of-range values raise
-    ValueError, so config typos fail loudly instead of silently picking
-    defaults.
+    A spec that is no dict, an unknown name (any name that is not a
+    registered string), unknown or missing fields and out-of-range values
+    raise ValueError, so config typos fail loudly instead of silently
+    picking defaults.
     """
-    if "name" not in spec:
-        raise ValueError("problem spec needs a 'name' field")
-    name = spec["name"]
-    if name not in FAMILIES:
-        raise ValueError(
-            f"unknown problem '{name}', expected one of {sorted(FAMILIES)}"
-        )
-    fields = {k: v for k, v in spec.items() if k != "name"}
-    cls = FAMILIES[name]
-    required = list(inspect.signature(cls).parameters)
-    unknown = set(fields) - set(required)
-    if unknown:
-        raise ValueError(f"unknown fields for problem '{name}': {sorted(unknown)}")
-    missing = set(required) - set(fields)
-    if missing:
-        raise ValueError(f"missing fields for problem '{name}': {sorted(missing)}")
-    out = {"name": name}
-    out.update((key, checked(key, fields[key])) for key in required)
+    if not isinstance(spec, dict):
+        raise ValueError(f"problem must be a JSON object, got {spec!r}")
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise ValueError(f"unknown problem {name!r}, expected one of {sorted(FAMILIES)}")
+    fields = dict.fromkeys(inspect.signature(FAMILIES[name]).parameters, REQUIRED)
+    given = {k: v for k, v in spec.items() if k != "name"}
+    out = {"name": name, **checked_fields(given, fields, f"problem '{name}'", prefix="")}
     if "mu" in out and out["mu"] > out["L"]:
         raise ValueError(f"need mu <= L, got mu={out['mu']!r}, L={out['L']!r}")
     return out

@@ -110,8 +110,9 @@ def storm_original_params(k: float, w: float, c: float, grad_sum_sq: float) -> t
     and beta = c * eta**2 clamped to 1. c -> 0 recovers a pure recursive
     gradient difference; large c forgets history quickly.
     """
-    if k <= 0 or w <= 0 or c < 0:
-        raise ValueError(f"need k > 0, w > 0, c >= 0, got k={k}, w={w}, c={c}")
+    # The rules of `numerics.RULES`, inline: `checked` would cost more than the law.
+    if k <= 0 or w <= 0 or c <= 0:
+        raise ValueError(f"need k > 0, w > 0, c > 0, got k={k}, w={w}, c={c}")
     if grad_sum_sq < 0:
         raise ValueError(f"grad_sum_sq must be nonnegative, got {grad_sum_sq}")
     eta = k / (w + grad_sum_sq) ** (1.0 / 3.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -81,12 +82,57 @@ def test_parse_rejects_unknown_keys_everywhere():
         parse_config(doc)
     doc = _config()
     doc["problem"]["bonus"] = True
-    with pytest.raises(ValueError, match="unknown fields"):
+    with pytest.raises(ValueError, match=r"unknown keys in problem 'noisy_quadratic': \['bonus'\]"):
         parse_config(doc)
     doc = _config()
     doc["output"]["fmt"] = "csv"
     with pytest.raises(ValueError, match="unknown keys in output"):
         parse_config(doc)
+
+
+def _malformed_configs():
+    """(config, the start of its ValueError) pairs: each names the section
+    or field at fault. These used to raise TypeError, run a cell before
+    failing on a file name, or run under another label or directory."""
+    single = _config(algorithm="sgd")
+    del single["algorithms"]
+    no_grid = _config()
+    del no_grid["grid"]
+    label = "algorithm label must be a nonempty string without '/' or '\\', got"
+    directory = "output directory must be a nonempty string, got"
+    return [
+        ([1], "config must be a JSON object, got [1]"),
+        (no_grid, "missing keys in config: ['grid']"),
+        (_config(problem=3), "problem must be a JSON object, got 3"),
+        (_config(problem={"name": [1]}), "unknown problem [1], expected one of"),
+        (_config(grid=[5]), "grid must be a JSON object, got [5]"),
+        (_config(grid={"T": [10]}), "missing keys in grid: ['seeds']"),
+        (_config(output=[1]), "output must be a JSON object, got [1]"),
+        *((_config(output={"directory": bad}), f"{directory} {bad!r}") for bad in (5, [1], "")),
+        (_config(algorithms=["sgd"]), "algorithm must be a JSON object, got 'sgd'"),
+        (single, "algorithm must be a JSON object, got 'sgd'"),
+        (_config(algorithms=[{"name": [1]}]), "unknown algorithm [1], expected one of"),
+        (_config(algorithms=[{"alpha": 0.3}]), "unknown algorithm None, expected one of"),
+        *((_config(algorithms=[{"name": "sgd", "label": bad}]), f"{label} {bad!r}")
+          for bad in ("a/b", "a\\b", "", None, 5)),
+    ]
+
+
+def test_parse_rejects_malformed_objects_naming_the_section_or_field():
+    for doc, message in _malformed_configs():
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            parse_config(doc)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            parse_config(json.dumps(doc))
+
+
+def test_parse_keeps_valid_labels_and_directories():
+    doc = _config(output={"directory": "runs/a b", "thin": 2})
+    doc["algorithms"][1]["label"] = "sgd decay.1"
+    cfg = parse_config(doc)
+    assert [a["label"] for a in cfg.algorithms] == ["ada_storm", "sgd decay.1"]
+    assert cfg.out_dir == "runs/a b"
+    assert parse_config(_config(output={"directory": None})).out_dir is None
 
 
 def test_parse_rejects_alpha_out_of_range():
@@ -100,7 +146,8 @@ def test_parse_rejects_alpha_out_of_range():
 def test_parse_rejects_duplicate_seeds():
     doc = _config()
     doc["grid"]["seeds"] = [1, 2, 2]
-    with pytest.raises(ValueError, match="duplicate seeds"):
+    message = "grid seeds must be nonempty and distinct, got [1, 2, 2]"
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_config(doc)
 
 
@@ -176,7 +223,7 @@ def test_parse_rejects_bad_grid_and_labels():
     with pytest.raises(ValueError, match=r"^grid T must be >= 1, got 0$"):
         parse_config(doc)
     doc["grid"]["T"] = []
-    with pytest.raises(ValueError, match="at least one T"):
+    with pytest.raises(ValueError, match=r"^grid T must be nonempty and distinct, got \[\]$"):
         parse_config(doc)
     doc = _config()
     doc["grid"]["T"] = [40, 40]
@@ -654,6 +701,15 @@ def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp
         assert line.startswith(f"run: could not load '{path}': ")
         assert not out_dir.exists()
     assert "dim must be >= 1, got 0" in line
+    # so is a config whose objects are malformed, or whose label is no file name
+    for i, (doc, message) in enumerate(_malformed_configs()):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / f"out-{path.stem}"
+        assert cli_main(["run", str(path), "--out", str(out_dir)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"run: could not load '{path}': {message}")
+        assert not out_dir.exists()
 
 
 def test_cli_run_takes_whole_float_counts(tiny_config_file, tmp_path):

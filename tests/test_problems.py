@@ -370,12 +370,12 @@ def test_from_spec_round_trip(fixture, request):
 def test_from_spec_rejects_unknown_name_and_fields(noncvx, fsum, comp):
     with pytest.raises(ValueError, match="unknown problem"):
         from_spec({"name": "mystery", "dim": 2})
-    with pytest.raises(ValueError, match="unknown fields"):
+    with pytest.raises(ValueError, match=r"unknown keys in problem 'noisy_quadratic': \['extra'\]"):
         from_spec(
             {"name": "noisy_quadratic", "dim": 2, "L": 1.0, "mu": 0.5, "sigma": 0.0,
              "seed": 1, "extra": True}
         )
-    with pytest.raises(ValueError, match="missing fields"):
+    with pytest.raises(ValueError, match=r"missing keys in problem 'noisy_quadratic': \['L', 'mu'"):
         from_spec({"name": "noisy_quadratic", "dim": 2})
     # Each family's fields are its class's required constructor arguments.
     expected = {
@@ -385,13 +385,13 @@ def test_from_spec_rejects_unknown_name_and_fields(noncvx, fsum, comp):
         "compositional": ["dim", "inner_dim", "seed", "sigma"],
     }
     for name, fields in expected.items():
-        message = f"missing fields for problem '{name}': {fields}"
+        message = f"missing keys in problem '{name}': {fields}"
         with pytest.raises(ValueError, match=re.escape(message)):
             from_spec({"name": name})
     # Derived data and fixed constants are not config fields.
     for problem, extra in ((noncvx, "epsilon"), (comp, "offset"), (fsum, "outlier_frac")):
         name = problem.spec["name"]
-        message = f"unknown fields for problem '{name}': ['{extra}']"
+        message = f"unknown keys in problem '{name}': ['{extra}']"
         with pytest.raises(ValueError, match=re.escape(message)):
             from_spec(dict(problem.spec, **{extra: 0.1}))
 

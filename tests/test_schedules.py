@@ -160,9 +160,10 @@ def test_storm_original_beta_clamped():
     assert eta == pytest.approx(10.0, rel=1e-12)
 
 
-def test_storm_original_c_zero_kills_momentum_weight():
-    _, beta = storm_original_params(1.0, 1.0, 0.0, 3.0)
-    assert beta == 0.0
+def test_storm_original_rejects_c_zero():
+    # numerics.RULES and run_storm_original reject c = 0 too
+    with pytest.raises(ValueError, match=r"^need k > 0, w > 0, c > 0, got k=1.0, w=1.0, c=0.0$"):
+        storm_original_params(1.0, 1.0, 0.0, 3.0)
 
 
 def test_storm_original_rejects_bad_args():
