@@ -1,11 +1,14 @@
 """Command-line front end: `run` a config grid, `check` invariants, or
 print fitted `slopes` from a summary file. Exit code 0 means every cell
-and every enabled check succeeded."""
+and every enabled check succeeded, 1 that one failed, and 2 a usage error:
+bad arguments, a config that cannot be loaded or an output directory that
+cannot be made, each reported before any cell runs."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .harness import (  # noqa: F401 - bench/tracer.py wraps write_outputs here
@@ -37,17 +40,17 @@ def _checked_arg(key):
 
 
 def _cmd_run(args) -> int:
-    path = args.config or args.config_flag
-    if not path:
-        print("run: a config path is required (positional or --config)", file=sys.stderr)
+    try:
+        config = load_config(args.config)
+    except (OSError, ValueError) as exc:
+        print(f"run: could not load '{args.config}': {exc}", file=sys.stderr)
         return 2
     try:
-        config = load_config(path)
-    except (OSError, ValueError) as exc:
-        print(f"run: could not load '{path}': {exc}", file=sys.stderr)
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"run: could not write to '{args.out}': {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out or config.out_dir or "runs"
-    result = run_grid(config, jobs=args.jobs, out_dir=out_dir, thin=args.thin)
+    result = run_grid(config, jobs=args.jobs, out_dir=args.out)
     for row in result.rows:
         print(
             f"{row.algorithm} {row.problem} T={row.T} seeds={row.n_seeds} "
@@ -61,7 +64,7 @@ def _cmd_run(args) -> int:
         )
     for failure in result.failures:
         print(f"FAILED cell {failure['cell']}: {failure['error']}", file=sys.stderr)
-    print(f"wrote outputs to {out_dir}")
+    print(f"wrote outputs to {args.out}")
     return 0 if result.ok else 1
 
 
@@ -101,13 +104,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run every grid cell of a JSON config")
-    p_run.add_argument("config", nargs="?", help="path to the JSON config")
-    p_run.add_argument("--config", dest="config_flag", help="alternative to the positional path")
-    p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.add_argument("--jobs", type=_checked_arg("jobs"), default=1,
+    p_run.add_argument("config", metavar="CONFIG", help="path to the JSON config")
+    p_run.add_argument("--out", metavar="DIR", default="runs",
+                       help="output directory (default: runs)")
+    p_run.add_argument("--jobs", metavar="N", type=_checked_arg("jobs"), default=1,
                        help="parallel worker processes")
-    p_run.add_argument("--thin", type=_checked_arg("thin"), default=None,
-                       help="keep every k-th trace row")
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="run the built-in property checks")

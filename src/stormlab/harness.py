@@ -47,7 +47,6 @@ class ExperimentConfig:
     algorithms: list
     T_grid: list
     seeds: list
-    out_dir: str | None = None
     thin: int = 1
 
     def to_json(self) -> str:
@@ -57,23 +56,21 @@ class ExperimentConfig:
             "grid": {"T": self.T_grid, "seeds": self.seeds},
             "output": {"thin": self.thin},
         }
-        if self.out_dir is not None:
-            doc["output"]["directory"] = self.out_dir
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _parse_algorithm(entry, family) -> dict:
     """A config's algorithm entry: its name, its label and its tunables as
     `check_run` returns them. The label names the entry's files, so it is a
-    nonempty string without a path separator."""
+    nonempty string without a path separator or a NUL."""
     if not isinstance(entry, dict):
         raise ValueError(f"algorithm must be a JSON object, got {entry!r}")
     name = entry.get("name")
     params = check_run(name, family, {k: v for k, v in entry.items() if k not in ("name", "label")})
     label = entry.get("label", name)
-    if not isinstance(label, str) or not label or "/" in label or "\\" in label:
-        raise ValueError(f"algorithm label must be a nonempty string without '/' or '\\', "
-                         f"got {label!r}")
+    if not isinstance(label, str) or not label or any(c in label for c in "/\\\0"):
+        raise ValueError(f"algorithm label must be a nonempty string without '/', '\\' "
+                         f"or NUL, got {label!r}")
     return {"name": name, "label": label, **dict(sorted(params.items()))}
 
 
@@ -90,41 +87,37 @@ def _grid_values(grid, field, key) -> list:
 def parse_config(doc) -> ExperimentConfig:
     """Validate a config given as JSON text or an already-parsed mapping.
 
-    The config and every object in it must be a JSON object without unknown
-    or missing keys (`numerics.checked_fields`), exactly one of 'algorithm'
-    or 'algorithms' must be present, T values and seeds must be distinct,
+    The config holds 'problem', 'algorithms' (a nonempty list), 'grid'
+    ('T' and 'seeds') and optionally 'output' ('thin', the trace row
+    stride); where the files go is the caller's to say. The config and
+    every object in it must be a JSON object without unknown or missing
+    keys (`numerics.checked_fields`), T values and seeds must be distinct,
     and every named value is checked by its `numerics.RULES` rule here
     rather than deep in a grid cell: a whole number is never a bool, 10.0
     is 10 and 10.5 is an error. The problem is checked, not built.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
-    doc = checked_fields(doc, {"problem": REQUIRED, "algorithm": None, "algorithms": None,
+    doc = checked_fields(doc, {"problem": REQUIRED, "algorithms": REQUIRED,
                                "grid": REQUIRED, "output": {}}, "config")
     problem_spec = problems.check_spec(doc["problem"])
 
-    if (doc["algorithm"] is None) == (doc["algorithms"] is None):
-        raise ValueError("config needs exactly one of 'algorithm' or 'algorithms'")
-    raw_algos = doc["algorithms"] if doc["algorithm"] is None else [doc["algorithm"]]
-    if not isinstance(raw_algos, list) or not raw_algos:
+    if not isinstance(doc["algorithms"], list) or not doc["algorithms"]:
         raise ValueError("'algorithms' must be a nonempty list")
-    algos = [_parse_algorithm(a, problem_spec["name"]) for a in raw_algos]
+    algos = [_parse_algorithm(a, problem_spec["name"]) for a in doc["algorithms"]]
     labels = [a["label"] for a in algos]
     if len(set(labels)) != len(labels):
         raise ValueError(f"algorithm labels must be unique, got {labels}")
 
     grid = checked_fields(doc["grid"], {"T": REQUIRED, "seeds": REQUIRED}, "grid")
-    output = checked_fields(doc["output"], {"directory": None, "thin": 1}, "output")
-    if output["directory"] == "" or not isinstance(output["directory"], (str, type(None))):
-        raise ValueError(f"output directory must be a nonempty string, got {output['directory']!r}")
+    output = checked_fields(doc["output"], {"thin": 1}, "output", "output ")
 
     return ExperimentConfig(
         problem=problem_spec,
         algorithms=algos,
         T_grid=_grid_values(grid, "T", "T"),
         seeds=_grid_values(grid, "seeds", "seed"),
-        out_dir=output["directory"],
-        thin=checked("thin", output["thin"], "output "),
+        thin=output["thin"],
     )
 
 
@@ -219,7 +212,7 @@ def _pool_outcomes(problem, grid, jobs):
         yield outcome
 
 
-def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None, thin=None) -> GridResult:
+def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None) -> GridResult:
     """Run every (algorithm, T, seed) cell and aggregate summaries.
 
     Cells are independent; jobs > 1 fans them out to worker processes and
@@ -229,13 +222,14 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None, thin=None) -
     A failing cell is reported in `failures` without stopping the rest of
     the grid, and so is a cell whose worker process dies.
 
-    With `out_dir`, the files `write_outputs(result, config, out_dir, thin)`
-    would write are written here instead: each finished cell's trace as
-    soon as it and every cell before it in grid order are done, while the
-    pool runs the rest, and the summary and plot files after the last cell.
+    With `out_dir`, the files `write_outputs(result, config, out_dir)`
+    would write are written here instead: each finished cell's trace,
+    thinned by `config.thin`, as soon as it and every cell before it in
+    grid order are done, while the pool runs the rest, and the summary and
+    plot files after the last cell.
     """
     jobs = checked("jobs", jobs)
-    thin = checked("thin", config.thin if thin is None else thin)
+    thin = checked("thin", config.thin)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     grid = list(itertools.product(config.algorithms, config.T_grid, config.seeds))
@@ -311,14 +305,15 @@ def write_trace_csv(record: RunRecord, path, thin: int = 1):
     _write_csv(path, record.columns(), checked("thin", thin))
 
 
-def write_outputs(result: GridResult, config: ExperimentConfig, out_dir, thin=None):
+def write_outputs(result: GridResult, config: ExperimentConfig, out_dir):
     """Write per-run traces, summary.csv, summary.json, and plot CSVs.
 
-    Returns the list of written paths. Summary statistics always come from
-    the full in-memory traces; thinning only affects the trace files.
-    `run_grid(config, out_dir=...)` writes the same files as the grid runs.
+    Returns the list of written paths. Traces keep every `config.thin`-th
+    row, the thin that summary.json echoes; summary statistics always come
+    from the full in-memory traces. `run_grid(config, out_dir=...)` writes
+    the same files as the grid runs.
     """
-    thin = checked("thin", config.thin if thin is None else thin)
+    thin = checked("thin", config.thin)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for cell, record in zip(result.cells, result.records):

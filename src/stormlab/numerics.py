@@ -158,8 +158,9 @@ def _label_entropy(label) -> int:
 class RngStream:
     """Deterministic random stream addressed by (seed, label path).
 
-    The root's seed is checked by its `numerics.RULES` rule, so 2.7, True
-    and "3" raise ValueError instead of being cast to a whole number.
+    The root, `RngStream(seed)`, has the empty path. Its seed is checked by
+    its `numerics.RULES` rule, so 2.7, True and "3" raise ValueError instead
+    of being cast to a whole number.
 
     A child stream is derived with `child(label)` and depends only on the
     seed and the labels, never on how many siblings were derived before it,
@@ -178,8 +179,8 @@ class RngStream:
 
     __slots__ = ("seed", "path", "_gen", "_buf", "_pos", "_size", "_kind", "_param", "_state")
 
-    def __init__(self, seed: int, path: tuple = ()):
-        self._start(checked("seed", seed), tuple(path))
+    def __init__(self, seed: int):
+        self._start(checked("seed", seed), ())
 
     def _start(self, seed, path):
         self.seed = seed

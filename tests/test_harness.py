@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -61,10 +62,14 @@ def test_parse_fills_defaults_and_round_trips():
 
 
 def test_parse_single_algorithm_key():
-    doc = _config()
-    doc["algorithm"] = {"name": "ada_storm"}
-    del doc["algorithms"]
-    cfg = parse_config(doc)
+    # "algorithm" is no alias of a one-entry "algorithms": alone or beside
+    # it, it is an unknown key
+    alone = _config(algorithm={"name": "ada_storm"})
+    del alone["algorithms"]
+    for doc in (alone, _config(algorithm={"name": "ada_storm"})):
+        with pytest.raises(ValueError, match=re.escape("unknown keys in config: ['algorithm']")):
+            parse_config(doc)
+    cfg = parse_config(_config(algorithms=[{"name": "ada_storm"}]))
     assert len(cfg.algorithms) == 1
     assert cfg.algorithms[0]["alpha"] == 0.3  # default filled in
 
@@ -93,13 +98,14 @@ def test_parse_rejects_unknown_keys_everywhere():
 def _malformed_configs():
     """(config, the start of its ValueError) pairs: each names the section
     or field at fault. These used to raise TypeError, run a cell before
-    failing on a file name, or run under another label or directory."""
-    single = _config(algorithm="sgd")
+    failing on a file name, or run under another label or directory. The
+    directory is the caller's, and "algorithm" is no alias of a one-entry
+    "algorithms": a config holding either is rejected."""
+    single = _config(algorithm={"name": "sgd"})
     del single["algorithms"]
     no_grid = _config()
     del no_grid["grid"]
-    label = "algorithm label must be a nonempty string without '/' or '\\', got"
-    directory = "output directory must be a nonempty string, got"
+    label = "algorithm label must be a nonempty string without '/', '\\' or NUL, got"
     return [
         ([1], "config must be a JSON object, got [1]"),
         (no_grid, "missing keys in config: ['grid']"),
@@ -108,13 +114,13 @@ def _malformed_configs():
         (_config(grid=[5]), "grid must be a JSON object, got [5]"),
         (_config(grid={"T": [10]}), "missing keys in grid: ['seeds']"),
         (_config(output=[1]), "output must be a JSON object, got [1]"),
-        *((_config(output={"directory": bad}), f"{directory} {bad!r}") for bad in (5, [1], "")),
+        (_config(output={"directory": "runs", "thin": 2}), "unknown keys in output: ['directory']"),
         (_config(algorithms=["sgd"]), "algorithm must be a JSON object, got 'sgd'"),
-        (single, "algorithm must be a JSON object, got 'sgd'"),
+        (single, "unknown keys in config: ['algorithm']"),
         (_config(algorithms=[{"name": [1]}]), "unknown algorithm [1], expected one of"),
         (_config(algorithms=[{"alpha": 0.3}]), "unknown algorithm None, expected one of"),
         *((_config(algorithms=[{"name": "sgd", "label": bad}]), f"{label} {bad!r}")
-          for bad in ("a/b", "a\\b", "", None, 5)),
+          for bad in ("a/b", "a\\b", "a\0b", "", None, 5)),
     ]
 
 
@@ -126,13 +132,11 @@ def test_parse_rejects_malformed_objects_naming_the_section_or_field():
             parse_config(json.dumps(doc))
 
 
-def test_parse_keeps_valid_labels_and_directories():
-    doc = _config(output={"directory": "runs/a b", "thin": 2})
+def test_parse_keeps_valid_labels():
+    doc = _config()
     doc["algorithms"][1]["label"] = "sgd decay.1"
     cfg = parse_config(doc)
     assert [a["label"] for a in cfg.algorithms] == ["ada_storm", "sgd decay.1"]
-    assert cfg.out_dir == "runs/a b"
-    assert parse_config(_config(output={"directory": None})).out_dir is None
 
 
 def test_parse_rejects_alpha_out_of_range():
@@ -237,10 +241,6 @@ def test_parse_rejects_bad_grid_and_labels():
     doc["algorithms"] = []
     with pytest.raises(ValueError, match="nonempty"):
         parse_config(doc)
-    doc = _config()
-    doc["algorithm"] = {"name": "ada_storm"}
-    with pytest.raises(ValueError, match="exactly one"):
-        parse_config(doc)
 
 
 def test_parse_rejects_incompatible_algorithm():
@@ -338,17 +338,17 @@ def test_streamed_outputs_match_write_outputs(tmp_path, jobs):
     # The second grid's sgd cells diverge: they get no trace file, and every
     # other file is still written.
     grids = (
-        (_config(grid={"T": [20, 40, 80], "seeds": [1, 2]}), 3, 6 + 6 + 2 + 2),
+        (_config(grid={"T": [20, 40, 80], "seeds": [1, 2]}, output={"thin": 3}), 6 + 6 + 2 + 2),
         ({"problem": {"name": "noisy_quadratic", "dim": 20, "L": 10.0, "mu": 1.0,
                       "sigma": 1.0, "seed": 11},
           "algorithms": [{"name": "sgd", "eta0": 5}, {"name": "ada_storm"}],
-          "grid": {"T": [500, 1000, 2000], "seeds": [1, 2]}}, None, 6 + 2 + 1),
+          "grid": {"T": [500, 1000, 2000], "seeds": [1, 2]}}, 6 + 2 + 1),
     )
-    for i, (doc, thin, n_files) in enumerate(grids):
+    for i, (doc, n_files) in enumerate(grids):
         cfg = parse_config(doc)
         streamed, written = tmp_path / f"streamed{i}", tmp_path / f"written{i}"
-        result = run_grid(cfg, jobs=jobs, out_dir=streamed, thin=thin)
-        write_outputs(run_grid(cfg), cfg, written, thin=thin)
+        result = run_grid(cfg, jobs=jobs, out_dir=streamed)
+        write_outputs(run_grid(cfg), cfg, written)
         assert _dir_bytes(streamed) == _dir_bytes(written)
         assert len(_dir_bytes(streamed)) == n_files
         failed = {f["cell"] for f in result.failures}
@@ -415,8 +415,9 @@ def test_trace_thinning_keeps_every_kth_row(small_result, tmp_path):
 
 def test_thinning_does_not_change_summary(small_result, tmp_path):
     cfg, result = small_result
-    write_outputs(result, cfg, tmp_path / "full", thin=1)
-    write_outputs(result, cfg, tmp_path / "thin", thin=10)
+    assert cfg.thin == 1
+    write_outputs(result, cfg, tmp_path / "full")
+    write_outputs(result, dataclasses.replace(cfg, thin=10), tmp_path / "thin")
     full = (tmp_path / "full" / "summary.csv").read_text()
     thin = (tmp_path / "thin" / "summary.csv").read_text()
     assert full == thin
@@ -613,10 +614,16 @@ def test_cli_run_writes_outputs_and_exits_zero(tiny_config_file, tmp_path, capsy
     assert (out_dir / "summary.json").exists()
 
 
-def test_cli_run_flag_form_and_jobs(tiny_config_file, tmp_path):
+def test_cli_run_flag_form_and_jobs(tiny_config_file, tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert cli_main(["run", "--config", str(tiny_config_file), "--out", str(out_a)]) == 0
+    # the config path is positional only; --config is a usage error
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run", "--config", str(tiny_config_file), "--out", str(out_a)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out_a.exists()
+    assert cli_main(["run", str(tiny_config_file), "--out", str(out_a)]) == 0
     assert cli_main(
         ["run", str(tiny_config_file), "--out", str(out_b), "--jobs", "2"]
     ) == 0
@@ -625,9 +632,18 @@ def test_cli_run_flag_form_and_jobs(tiny_config_file, tmp_path):
             assert fa.read() == fb.read()
 
 
-def test_cli_run_thin_flag(tiny_config_file, tmp_path):
+def test_cli_run_thin_flag(tiny_config_file, tmp_path, capsys):
+    # thin is set in the config only; --thin is a usage error
     out_dir = tmp_path / "thin"
-    assert cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--thin", "5"]) == 0
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--thin", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --thin 5" in capsys.readouterr().err
+    assert not out_dir.exists()
+    doc = json.loads(tiny_config_file.read_text())
+    doc["output"] = {"thin": 5}
+    tiny_config_file.write_text(json.dumps(doc))
+    assert cli_main(["run", str(tiny_config_file), "--out", str(out_dir)]) == 0
     trace = next(p for p in os.listdir(out_dir) if p.startswith("trace__"))
     lines = (out_dir / trace).read_text().splitlines()
     ts = [int(line.split(",")[0]) for line in lines[1:]]
@@ -635,8 +651,60 @@ def test_cli_run_thin_flag(tiny_config_file, tmp_path):
 
 
 def test_cli_run_requires_config(capsys):
-    assert cli_main(["run"]) == 2
-    assert "config path" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run"])
+    assert info.value.code == 2
+    assert "the following arguments are required: CONFIG" in capsys.readouterr().err
+
+
+def _trace_thin(path):
+    """The row stride of a trace file, read from its t column. A stride of
+    at most T / 2 keeps at least the two rows this needs."""
+    ts = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+    T = int(re.search(r"__T(\d+)__", path.name).group(1))
+    assert ts[0] == 1 and len(ts) >= 2 and len(ts) == len(range(0, T, ts[1] - 1)), path.name
+    assert all(b - a == ts[1] - 1 for a, b in zip(ts, ts[1:])), path.name
+    return ts[1] - 1
+
+
+def test_cli_run_summary_echoes_the_thin_of_its_traces(tiny_config_file, tmp_path, capsys):
+    # Every way to ask `stormlab run` for a thin either is refused before
+    # anything is written or writes traces at the thin summary.json echoes.
+    doc = json.loads(tiny_config_file.read_text())
+    written = 0
+    for i, (output, extra) in enumerate((({}, []), ({"thin": 1}, ["--thin", "5"]),
+                                         ({"thin": 3}, []), ({"thin": 3}, ["--thin", "1"]))):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps({**doc, "output": output}))
+        out_dir = tmp_path / f"out{i}"
+        try:
+            code = cli_main(["run", str(path), "--out", str(out_dir), *extra])
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        if code == 2:
+            assert not out_dir.exists()
+            continue
+        assert code == 0
+        echoed = json.loads((out_dir / "summary.json").read_text())["config"]["output"]["thin"]
+        traces = sorted(out_dir.glob("trace__*.csv"))
+        assert len(traces) == 12
+        assert {_trace_thin(trace) for trace in traces} == {echoed}
+        written += 1
+    assert written == 2
+
+
+def test_cli_run_out_that_cannot_be_made_is_a_usage_error(tiny_config_file, tmp_path, capsys):
+    # exit 2, a usage error, and no traceback: exit 1 means a failed cell
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out in (taken, taken / "below"):
+        assert cli_main(["run", str(tiny_config_file), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"run: could not write to '{out}': ")
+        assert captured.out == ""
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_check_passes(capsys):
@@ -677,16 +745,15 @@ def test_cli_slopes_missing_file(tmp_path, capsys):
 
 
 def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp_path, capsys):
-    for flag in ("--thin", "--jobs"):
-        for bad, message in (("0", "must be >= 1, got 0"),
-                             ("2.5", "must be a whole number, got 2.5"),
-                             ("true", "must be a whole number, got 'true'")):
-            out_dir = tmp_path / f"out{flag}"
-            with pytest.raises(SystemExit) as info:
-                cli_main(["run", str(tiny_config_file), "--out", str(out_dir), flag, bad])
-            assert info.value.code == 2
-            assert f"argument {flag}: {flag[2:]} {message}" in capsys.readouterr().err
-            assert not out_dir.exists()
+    for bad, message in (("0", "must be >= 1, got 0"),
+                         ("2.5", "must be a whole number, got 2.5"),
+                         ("true", "must be a whole number, got 'true'")):
+        out_dir = tmp_path / "out--jobs"
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--jobs", bad])
+        assert info.value.code == 2
+        assert f"argument --jobs: jobs {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
     # a config that cannot be read or parsed is a usage error too, not a failed cell
     truncated = tmp_path / "truncated.json"
     truncated.write_text(tiny_config_file.read_text()[:-5])
@@ -714,9 +781,9 @@ def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp
 
 def test_cli_run_takes_whole_float_counts(tiny_config_file, tmp_path):
     outputs = []
-    for thin in ("5", "5.0"):
-        out_dir = tmp_path / thin
-        assert cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--thin", thin]) == 0
+    for jobs in ("1", "1.0"):
+        out_dir = tmp_path / jobs
+        assert cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--jobs", jobs]) == 0
         outputs.append(_dir_bytes(out_dir))
     assert outputs[0] == outputs[1]
 
@@ -765,7 +832,7 @@ def test_diverging_cells_fail_and_summary_json_stays_strict(tmp_path):
     doc = {
         "problem": {"name": "noisy_quadratic", "dim": 20, "L": 10.0, "mu": 1.0,
                     "sigma": 1.0, "seed": 11},
-        "algorithm": {"name": "sgd", "eta0": 5},
+        "algorithms": [{"name": "sgd", "eta0": 5}],
         "grid": {"T": [500, 1000, 2000], "seeds": [1, 2]},
     }
     cfg = parse_config(doc)

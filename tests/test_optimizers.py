@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -524,12 +525,16 @@ def _entry_points(name, key, value, scratch):
     `value`: parse_config with `value` in its config place, then the runs."""
     spec = REGISTRY_PROBLEMS[min(ALGORITHMS[name][1])]
     problem = from_spec(spec)
-    doc = {"problem": spec, "algorithm": {"name": name}, "grid": {"T": 30, "seeds": 1}}
+    doc = {"problem": spec, "algorithms": [{"name": name}], "grid": {"T": 30, "seeds": 1}}
     calls = {}
     if key in ("thin", "jobs"):
         grid = parse_config(doc)
         record = run_algorithm(name, problem, 30, 1)
-        calls["run_grid"] = lambda: run_grid(grid, out_dir=scratch, **{key: value})
+        if key == "thin":  # a grid's thin is its config's
+            calls["run_grid"] = lambda: run_grid(dataclasses.replace(grid, thin=value),
+                                                 out_dir=scratch)
+        else:
+            calls["run_grid"] = lambda: run_grid(grid, jobs=value, out_dir=scratch)
         if key == "thin":
             path = os.path.join(scratch, "trace.csv")
             calls["write_trace_csv"] = lambda: write_trace_csv(record, path, thin=value)
@@ -537,7 +542,7 @@ def _entry_points(name, key, value, scratch):
         cell = {"T": 30, "seed": 1, key: value}
         calls["run_algorithm"] = lambda: run_algorithm(name, problem, cell["T"], cell["seed"])
     else:
-        doc["algorithm"][key] = value
+        doc["algorithms"][0][key] = value
         calls["run_algorithm"] = lambda: run_algorithm(name, problem, 30, 1, **{key: value})
     if key in CONFIG_PLACES:
         section, field, _ = CONFIG_PLACES[key]
@@ -621,7 +626,7 @@ def test_bool_tunables_are_rejected_naming_the_key(name, key, value):
     runner, _ = ALGORITHMS[name]
     message = f"{name}: {key} must be a "
     for call in (
-        lambda: parse_config({"problem": spec, "algorithm": {"name": name, key: value},
+        lambda: parse_config({"problem": spec, "algorithms": [{"name": name, key: value}],
                               "grid": {"T": 10, "seeds": 1}}),
         lambda: runner(problem, 10, **{key: value}),
         lambda: run_algorithm(name, problem, 10, 1, **{key: value}),

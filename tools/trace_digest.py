@@ -16,18 +16,23 @@ Three digests, one per line:
                grad_norm, est_error): everything the algorithms compute,
                which a change to how the trace is measured must not move.
 * artifacts  - every file `write_outputs` writes for the criterion-11
-               config, for a three-algorithm grid at thin 3 (and again
-               at thin 7 and 1000) and for a grid whose real values are
-               written as ints and whole ones as floats, name and bytes,
-               and each grid run's config JSON. summary.json echoes the
-               config as written; a run's config echoes real values as
+               config, for a three-algorithm grid whose config sets thin
+               3 (and again 7 and 1000) and for a grid whose real values
+               are written as ints and whole ones as floats, name and
+               bytes, and each grid run's config JSON. summary.json echoes
+               the config as written; a run's config echoes real values as
                floats and whole ones as ints.
 
 A refactor that must not change outputs compares these at both commits:
 
     PYTHONPATH=src python tools/trace_digest.py
+
+With `--keep DIR` (empty or absent) the artifact trees are left in DIR, one
+numbered directory per grid, so two checkouts' trees can be compared with
+`diff -r`.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -46,7 +51,6 @@ THREE_ALGORITHMS = {
     "algorithms": [{"name": "fs_storm"}, {"name": "fs_storm_svrg", "period": 9},
                    {"name": "storm_original"}],
     "grid": {"T": [50, 90], "seeds": [1, 2]},
-    "output": {"thin": 3},
 }
 # At n = 2000, dim 5 about 14 measured blocks fit in the features' bytes.
 KEEPS_BLOCKS = {"name": "finite_sum", "n": 2000, "dim": 5, "seed": 5}
@@ -97,15 +101,17 @@ def runs_digests() -> tuple[str, str]:
     return runs.hexdigest(), unmeasured.hexdigest()
 
 
-def artifacts_digest() -> str:
+def artifacts_digest(keep=None) -> str:
+    """The artifacts digest; with `keep`, the trees are written there."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        grids = [(CRITERION_11, None)] + [(THREE_ALGORITHMS, thin) for thin in (None, 7, 1000)]
-        for i, (doc, thin) in enumerate(grids + [(AS_WRITTEN, None)]):
+        grids = [CRITERION_11, *(dict(THREE_ALGORITHMS, output={"thin": thin})
+                                 for thin in (3, 7, 1000)), AS_WRITTEN]
+        for i, doc in enumerate(grids):
             config = harness.parse_config(doc)
-            out_dir = os.path.join(tmp, str(i))
+            out_dir = os.path.join(tmp if keep is None else keep, str(i))
             result = harness.run_grid(config)
-            harness.write_outputs(result, config, out_dir, thin=thin)
+            harness.write_outputs(result, config, out_dir)
             for record in result.records:
                 h.update(json.dumps(record.config).encode())
             for name in sorted(os.listdir(out_dir)):
@@ -115,7 +121,12 @@ def artifacts_digest() -> str:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", metavar="DIR", help="leave the artifact trees in DIR")
+    args = parser.parse_args()
+    if args.keep is not None and os.path.isdir(args.keep) and os.listdir(args.keep):
+        parser.error(f"--keep directory '{args.keep}' is not empty")
     runs, unmeasured = runs_digests()
     print(f"runs       {runs}")
     print(f"unmeasured {unmeasured}")
-    print(f"artifacts  {artifacts_digest()}")
+    print(f"artifacts  {artifacts_digest(args.keep)}")
