@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 
 from .harness import (  # noqa: F401 - bench/tracer.py wraps write_outputs here
     load_config,
-    load_summary,
     run_grid,
     run_property_checks,
     write_outputs,
@@ -79,20 +79,23 @@ def _cmd_check(_args) -> int:
 
 
 def _cmd_slopes(args) -> int:
+    """Print the slope fits of a summary.json, reading nothing else from it."""
     try:
-        _, slopes, _ = load_summary(args.summary)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"slopes: could not read '{args.summary}': {exc}", file=sys.stderr)
-        return 2
-    if not slopes:
-        print("no slope fits available (need >= 3 horizons per algorithm)")
-        return 0
-    for fit in slopes:
-        print(
+        with open(args.summary, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or not isinstance(doc.get("slopes", []), list):
+            raise ValueError("expected a JSON object whose 'slopes' is a list")
+        lines = [
             f"{fit['algorithm']} {fit['problem']} {fit['metric']}: "
             f"slope={fit['slope']:.4f} intercept={fit['intercept']:.4f} "
             f"r^2={fit['r_squared']:.4f} points={len(fit['points'])}"
-        )
+            for fit in doc.get("slopes", [])
+        ]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        reason = f"a slope fit lacks {exc}" if isinstance(exc, KeyError) else exc
+        print(f"slopes: could not read '{args.summary}': {reason}", file=sys.stderr)
+        return 2
+    print("\n".join(lines) or "no slope fits available (need >= 3 horizons per algorithm)")
     return 0
 
 

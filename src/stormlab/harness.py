@@ -59,18 +59,20 @@ class ExperimentConfig:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _parse_algorithm(entry, family) -> dict:
-    """A config's algorithm entry: its name, its label and its tunables as
-    `check_run` returns them. The label names the entry's files, so it is a
-    nonempty string without a path separator or a NUL."""
+def _parse_algorithm(entry, spec) -> dict:
+    """A config's algorithm entry on the problem of spec `spec`: its name,
+    its label and its tunables as `check_run` returns them. The label is a
+    bare summary.csv cell and names files (within the usual 255-byte name
+    limit), so it is 1 to 100 UTF-8 bytes of printable characters."""
     if not isinstance(entry, dict):
         raise ValueError(f"algorithm must be a JSON object, got {entry!r}")
     name = entry.get("name")
-    params = check_run(name, family, {k: v for k, v in entry.items() if k not in ("name", "label")})
+    params = check_run(name, spec, {k: v for k, v in entry.items() if k not in ("name", "label")})
     label = entry.get("label", name)
-    if not isinstance(label, str) or not label or any(c in label for c in "/\\\0"):
-        raise ValueError(f"algorithm label must be a nonempty string without '/', '\\' "
-                         f"or NUL, got {label!r}")
+    if (not isinstance(label, str) or not label or not label.isprintable()
+            or any(c in label for c in '/\\,"') or len(label.encode()) > 100):
+        raise ValueError("algorithm label must be 1 to 100 bytes of printable characters "
+                         f"other than '/', '\\', ',' and '\"', got {label!r}")
     return {"name": name, "label": label, **dict(sorted(params.items()))}
 
 
@@ -104,7 +106,7 @@ def parse_config(doc) -> ExperimentConfig:
 
     if not isinstance(doc["algorithms"], list) or not doc["algorithms"]:
         raise ValueError("'algorithms' must be a nonempty list")
-    algos = [_parse_algorithm(a, problem_spec["name"]) for a in doc["algorithms"]]
+    algos = [_parse_algorithm(a, problem_spec) for a in doc["algorithms"]]
     labels = [a["label"] for a in algos]
     if len(set(labels)) != len(labels):
         raise ValueError(f"algorithm labels must be unique, got {labels}")
@@ -384,23 +386,19 @@ class CheckResult:
 
 
 def _check_sandwich() -> CheckResult:
-    lower, middle, upper = prefix_power_sum_bounds([1.0, 1.0, 1.0, 1.0], 0.5)
-    hand = 1.0 + 2.0**-0.5 + 3.0**-0.5 + 0.5
-    if abs(middle - hand) > 1e-12 or abs(lower - 2.0) > 1e-12 or abs(upper - 4.0) > 1e-12:
-        return CheckResult("sandwich-bounds", False, "hand-computed case mismatch")
-    gen = RngStream(2024).child("sandwich-sweep").generator
-    worst = 0.0
-    for _ in range(1000):
-        length = int(gen.integers(1, 101))
-        c = gen.uniform(1e-6, 10.0, length)
-        alpha = float(gen.uniform(0.01, 0.99))
-        lower, middle, upper = prefix_power_sum_bounds(c, alpha)
-        scale = max(abs(lower), abs(middle), abs(upper))
-        worst = max(worst, (lower - middle) / scale, (middle - upper) / scale)
-    passed = worst <= 1e-9
-    return CheckResult(
-        "sandwich-bounds", passed, f"worst relative violation {worst:.3g}"
-    )
+    # prefix_power_sum_bounds raises AssertionError on any violation.
+    try:
+        lower, middle, upper = prefix_power_sum_bounds([1.0, 1.0, 1.0, 1.0], 0.5)
+        hand = 1.0 + 2.0**-0.5 + 3.0**-0.5 + 0.5
+        if abs(middle - hand) > 1e-12 or abs(lower - 2.0) > 1e-12 or abs(upper - 4.0) > 1e-12:
+            return CheckResult("sandwich-bounds", False, "hand-computed case mismatch")
+        gen = RngStream(2024).child("sandwich-sweep").generator
+        for _ in range(1000):
+            length = int(gen.integers(1, 101))
+            prefix_power_sum_bounds(gen.uniform(1e-6, 10.0, length), float(gen.uniform(0.01, 0.99)))
+    except AssertionError as exc:
+        return CheckResult("sandwich-bounds", False, str(exc))
+    return CheckResult("sandwich-bounds", True, "hand case and 1000 random sequences hold")
 
 
 def _check_gradients() -> CheckResult:

@@ -15,6 +15,7 @@ the same reason: one numpy call per block instead of one per step.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import numbers
@@ -60,11 +61,15 @@ def whole(value, what) -> int:
     raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
-def real(value, what):
-    """value, unchanged, once it is known to be a finite real number; a bool,
-    a string or a non-finite value raises ValueError naming `what`."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return value
+def real(value, what) -> float:
+    """value as a float, once it is known to be a finite real number; a bool,
+    a string, a non-finite value or one too large for a float raises
+    ValueError naming `what`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            number = float(value)
+            if math.isfinite(number):
+                return number
     raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
@@ -77,9 +82,10 @@ _NONNEGATIVE = (real, lambda v: v >= 0, "be >= 0")
 RULES = {
     **dict.fromkeys(("T", "dim", "n", "inner_dim", "horizon", "period", "thin", "jobs"),
                     _ONE_OR_MORE),
-    **dict.fromkeys(("L", "mu", "eta0", "k", "w", "c", "eta_const"), _POSITIVE),
+    **dict.fromkeys(("L", "mu", "eta0", "k", "w", "c"), _POSITIVE),
     **dict.fromkeys(("sigma", "decay"), _NONNEGATIVE),
-    "seed": (whole, lambda v: True, "be a whole number"),
+    # The seeds whose streams differ: PCG64 reads a seed as 64 bits.
+    "seed": (whole, lambda v: 0 <= v <= _UINT64_MASK, "lie in [0, 2**64)"),
     "alpha": (real, lambda a: 0.0 < a < 1.0 / 3.0, "lie in (0, 1/3)"),
 }
 
@@ -103,8 +109,7 @@ def checked_fields(given, fields, where, prefix=None) -> dict:
     """`given`'s value or else the default of each field in `fields` (name ->
     default or REQUIRED), in that order. A `given` that is no dict, an
     unknown name or a missing required one raises ValueError naming `where`.
-    With a `prefix`, each value is checked by `checked(name, value, prefix)`
-    and a None whose default is None is left out."""
+    With a `prefix`, each value is checked by `checked(name, value, prefix)`."""
     if not isinstance(given, dict):
         raise ValueError(f"{where} must be a JSON object, got {given!r}")
     unknown = given.keys() - fields.keys()
@@ -116,20 +121,7 @@ def checked_fields(given, fields, where, prefix=None) -> dict:
     out = {key: given.get(key, default) for key, default in fields.items()}
     if prefix is None:
         return out
-    return {
-        key: checked(key, value, prefix)
-        for key, value in out.items()
-        if not (value is None and fields[key] is None)
-    }
-
-
-def echoed(values: dict) -> dict:
-    """values with each one whose rule is of kind `real` as a float, as runs
-    and problems echo their checked values; other values are unchanged."""
-    return {
-        key: float(value) if key in RULES and RULES[key][0] is real else value
-        for key, value in values.items()
-    }
+    return {key: checked(key, value, prefix) for key, value in out.items()}
 
 
 def gaussian(rng: "RngStream", dim: int, sigma: float) -> Vector:
@@ -159,8 +151,10 @@ class RngStream:
     """Deterministic random stream addressed by (seed, label path).
 
     The root, `RngStream(seed)`, has the empty path. Its seed is checked by
-    its `numerics.RULES` rule, so 2.7, True and "3" raise ValueError instead
-    of being cast to a whole number.
+    its `numerics.RULES` rule, a whole number in [0, 2**64): 2.7, True and
+    "3" raise ValueError instead of being cast to a whole number, and -1 and
+    2**64 instead of being read modulo 2**64 as the streams of 2**64 - 1
+    and 0.
 
     A child stream is derived with `child(label)` and depends only on the
     seed and the labels, never on how many siblings were derived before it,
@@ -229,7 +223,7 @@ class RngStream:
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            entropy = [self.seed & _UINT64_MASK]
+            entropy = [self.seed]
             entropy.extend(_label_entropy(part) for part in self.path)
             self._gen = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy))

@@ -65,7 +65,7 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     svrg_update,
     take_snapshot,
 )
-from .numerics import BLOCK, RngStream, as_vector, checked, checked_fields, echoed, norm_sq
+from .numerics import BLOCK, RngStream, as_vector, checked, checked_fields, norm_sq
 from .schedules import (  # noqa: F401 - bench/tracer.py wraps ada_lr, finite_sum_lr here
     ada_beta,
     ada_lr,
@@ -143,7 +143,9 @@ def _registered(name: str):
 
 def tunables(name: str) -> dict:
     """Tunables of a registered algorithm and their defaults, in the order
-    of its runner's signature; a default of None means no default."""
+    of its runner's signature. The one default of None, the anchored
+    method's `period`, stands for the problem's n, which `check_run` fills
+    in."""
     runner, _ = _registered(name)
     return {
         p.name: p.default
@@ -152,20 +154,24 @@ def tunables(name: str) -> dict:
     }
 
 
-def check_run(name: str, family, params: dict) -> dict:
-    """Check one run of algorithm `name` on problem family `family`.
+def check_run(name: str, spec: dict, params: dict) -> dict:
+    """Check one run of algorithm `name` on the problem of spec `spec`.
 
-    Returns `params` with each missing tunable's default filled in, in the
-    runner's signature order; a tunable whose default is None stays absent
-    until given. Each value is checked by its `numerics.RULES` rule and comes
-    back as the rule's kind returns it. Raises ValueError on an unknown
-    algorithm or key, a value outside its range, or a family the algorithm
-    does not accept.
+    The problem's family comes first: an unknown algorithm, or a family the
+    algorithm does not accept, raises ValueError. Then `params` comes back
+    with each missing tunable's default filled in, in the runner's signature
+    order, and a `period` that is missing or None set to the spec's n, one
+    refresh per pass. Each value is checked by its `numerics.RULES` rule and
+    comes back as the rule's kind returns it; an unknown key or a value
+    outside its range raises ValueError.
     """
-    out = checked_fields(params, tunables(name), f"algorithm '{name}'", prefix=f"{name}: ")
-    if family not in ALGORITHMS[name][1]:
+    family = spec.get("name")
+    if family not in _registered(name)[1]:
         raise ValueError(f"algorithm '{name}' does not accept problem family '{family}'")
-    return out
+    fields = tunables(name)
+    if "period" in fields and params.get("period") is None:
+        params = {**params, "period": spec["n"]}
+    return checked_fields(params, fields, f"algorithm '{name}'", prefix=f"{name}: ")
 
 
 def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecord:
@@ -182,7 +188,7 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
     is raised, so the run stops with the same DivergenceError (first t;
     f before v_norm_sq before eta) as a loop measuring every step.
     """
-    params = check_run(name, problem.spec.get("name"), params)
+    params = check_run(name, problem.spec, params)
     T, seed = checked("T", T), checked("seed", seed)
     x = problem.x0.copy() if x0 is None else as_vector(x0)
     if x.shape != (problem.dim,):
@@ -251,7 +257,7 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
     if keep_iterates:
         iterates[T] = x
 
-    algorithm = {"name": name, **echoed(params)}
+    algorithm = {"name": name, **params}
     config = {"algorithm": algorithm, "problem": dict(problem.spec), "T": T, "seed": seed}
     return RunRecord(
         np.arange(1, T + 1, dtype=np.int64), f, grad_norm, v_norm_sq, etas, betas, est_error,
@@ -396,7 +402,7 @@ def run_fs_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) ->
     return _run("fs_storm", problem, T, seed, x0, keep_iterates, _fs_storm_steps, alpha=alpha)
 
 
-def _fs_storm_svrg_steps(problem, T, x, root, alpha, period, eta_const=None):
+def _fs_storm_svrg_steps(problem, T, x, root, alpha, period):
     index_rng = root.child("component")
     n = problem.n
     beta = finite_sum_beta(n)
@@ -419,29 +425,23 @@ def _fs_storm_svrg_steps(problem, T, x, root, alpha, period, eta_const=None):
             )
         v_sq = norm_sq(v)
         sum_sq += v_sq
-        eta = lr(sum_sq) if eta_const is None else float(eta_const)
-        return v, v_sq, eta, beta
+        return v, v_sq, lr(sum_sq), beta
 
     return step
 
 
 def run_fs_storm_svrg(
-    problem, T, alpha=0.3, seed=0, period=None, eta_const=None, x0=None, keep_iterates=False
+    problem, T, alpha=0.3, seed=0, period=None, x0=None, keep_iterates=False
 ) -> RunRecord:
     """Finite-sum run anchored to a periodically refreshed full gradient.
 
     Instead of a per-component table, the correction compares the sampled
     component's gradient at a snapshot point against the snapshot's full
     gradient; the snapshot is refreshed every `period` steps (default n).
-    eta follows the adaptive finite-sum law unless eta_const pins it.
+    eta follows the adaptive finite-sum law.
     """
-    # Only a finite-sum spec has an n; any other family leaves period unset
-    # and fails the family check in `_run` like every other runner.
-    return _run(
-        "fs_storm_svrg", problem, T, seed, x0, keep_iterates, _fs_storm_svrg_steps,
-        alpha=alpha, period=problem.spec.get("n") if period is None else period,
-        eta_const=eta_const,
-    )
+    return _run("fs_storm_svrg", problem, T, seed, x0, keep_iterates, _fs_storm_svrg_steps,
+                alpha=alpha, period=period)
 
 
 def _sgd_steps(problem, T, x, root, eta0, decay):

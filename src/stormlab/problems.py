@@ -25,7 +25,7 @@ import inspect
 
 import numpy as np
 
-from .numerics import REQUIRED, RngStream, Vector, as_vector, checked_fields, echoed, gaussian
+from .numerics import REQUIRED, RngStream, Vector, as_vector, checked_fields, gaussian
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
@@ -358,7 +358,7 @@ make_compositional = CompositionalProblem
 def check_spec(spec: dict) -> dict:
     """The spec with its fields checked as `from_spec` would, without
     building the problem: each by its `numerics.RULES` rule, whole-number
-    fields as ints and real ones as written. The one rule across fields,
+    fields as ints and real ones as floats. The one rule across fields,
     mu <= L, is here.
 
     A spec that is no dict, an unknown name (any name that is not a
@@ -381,11 +381,11 @@ def check_spec(spec: dict) -> dict:
 
 def _own_spec(problem, args) -> list:
     """Check a family constructor's arguments (its `locals()` on entry) by
-    `check_spec`, set `problem.spec` to the checked fields with real ones as
-    floats, and return the spec's values in the constructor's order."""
+    `check_spec`, set `problem.spec` to the checked fields and return their
+    values in the constructor's order."""
     fields = {key: value for key, value in args.items() if key != "self"}
     name = next(name for name, cls in FAMILIES.items() if isinstance(problem, cls))
-    problem.spec = echoed(check_spec({"name": name, **fields}))
+    problem.spec = check_spec({"name": name, **fields})
     return [problem.spec[key] for key in fields]
 
 

@@ -97,15 +97,21 @@ def test_parse_rejects_unknown_keys_everywhere():
 
 def _malformed_configs():
     """(config, the start of its ValueError) pairs: each names the section
-    or field at fault. These used to raise TypeError, run a cell before
-    failing on a file name, or run under another label or directory. The
-    directory is the caller's, and "algorithm" is no alias of a one-entry
-    "algorithms": a config holding either is rejected."""
+    or field at fault. These used to raise TypeError or OverflowError, run
+    a cell before failing on a file name, run under another label or
+    directory, write a label that splits or shifts summary.csv rows, or run
+    one seed's stream twice. The directory is the caller's, and "algorithm"
+    is no alias of a one-entry "algorithms": a config holding either is
+    rejected."""
     single = _config(algorithm={"name": "sgd"})
     del single["algorithms"]
     no_grid = _config()
     del no_grid["grid"]
-    label = "algorithm label must be a nonempty string without '/', '\\' or NUL, got"
+    label = ("algorithm label must be 1 to 100 bytes of printable characters other than "
+             "'/', '\\', ',' and '\"', got")
+    huge = 10**400
+    bad_labels = ("a/b", "a\\b", "a\0b", "", None, 5, "a,b", 'a"b', "x\ny", "tab\tbed",
+                  "a" * 101, "\u00e9" * 51, "a" * 250)
     return [
         ([1], "config must be a JSON object, got [1]"),
         (no_grid, "missing keys in config: ['grid']"),
@@ -120,7 +126,15 @@ def _malformed_configs():
         (_config(algorithms=[{"name": [1]}]), "unknown algorithm [1], expected one of"),
         (_config(algorithms=[{"alpha": 0.3}]), "unknown algorithm None, expected one of"),
         *((_config(algorithms=[{"name": "sgd", "label": bad}]), f"{label} {bad!r}")
-          for bad in ("a/b", "a\\b", "a\0b", "", None, 5)),
+          for bad in bad_labels),
+        (_config(grid={"T": [10], "seeds": [-1, 2**64 - 1]}),
+         "grid seed must lie in [0, 2**64), got -1"),
+        (_config(problem=dict(BASE_CONFIG["problem"], seed=2**64)),
+         f"seed must lie in [0, 2**64), got {2**64}"),
+        (_config(problem=dict(BASE_CONFIG["problem"], L=huge)),
+         f"L must be a finite real number, got {huge}"),
+        (_config(algorithms=[{"name": "sgd", "eta0": huge}]),
+         f"sgd: eta0 must be a finite real number, got {huge}"),
     ]
 
 
@@ -137,6 +151,8 @@ def test_parse_keeps_valid_labels():
     doc["algorithms"][1]["label"] = "sgd decay.1"
     cfg = parse_config(doc)
     assert [a["label"] for a in cfg.algorithms] == ["ada_storm", "sgd decay.1"]
+    doc["algorithms"][1]["label"] = "\u00e9" * 50  # 100 UTF-8 bytes
+    assert parse_config(doc).algorithms[1]["label"] == "\u00e9" * 50
 
 
 def test_parse_rejects_alpha_out_of_range():
@@ -205,8 +221,36 @@ def test_parse_stores_whole_problem_fields_as_ints():
     assert cfg.problem == {"name": "finite_sum", "n": 100, "dim": 3, "seed": 7}
     assert all(type(cfg.problem[k]) is int for k in ("n", "dim", "seed"))
     assert json.loads(cfg.to_json())["problem"]["seed"] == 7
-    # real fields are kept as written
-    assert parse_config(_config()).problem == BASE_CONFIG["problem"]
+    # real fields are floats, however they are written
+    cfg = parse_config(_config(problem=dict(BASE_CONFIG["problem"], L=5, mu=1, sigma=0)))
+    assert [type(cfg.problem[k]) for k in ("L", "mu", "sigma")] == [float] * 3
+
+
+def test_summary_echoes_the_values_every_run_echoes(tmp_path):
+    doc = _config(problem=dict(BASE_CONFIG["problem"], L=4, mu=1),
+                  algorithms=[{"name": "sgd", "eta0": 1, "decay": 1}],
+                  grid={"T": [10, 20], "seeds": [1, 2]})
+    result = run_grid(parse_config(doc), out_dir=tmp_path)
+    text = (tmp_path / "summary.json").read_text()
+    echo = json.loads(text)["config"]
+    (algorithm,) = echo["algorithms"]
+    reals = (echo["problem"]["L"], echo["problem"]["mu"], algorithm["eta0"])
+    assert reals == (4.0, 1.0, 1.0) and all(type(v) is float for v in reals)
+    del algorithm["label"]
+    for record in result.records:
+        assert record.config["problem"] == echo["problem"]
+        assert record.config["algorithm"] == algorithm
+
+
+def test_anchored_period_is_the_problem_n_and_is_echoed(tmp_path):
+    doc = _config(problem={"name": "finite_sum", "n": 30, "dim": 3, "seed": 1},
+                  algorithms=[{"name": "fs_storm_svrg"}], grid={"T": 10, "seeds": 1})
+    cfg = parse_config(doc)
+    assert cfg.algorithms == [
+        {"name": "fs_storm_svrg", "label": "fs_storm_svrg", "alpha": 0.3, "period": 30}]
+    result = run_grid(cfg, out_dir=tmp_path)
+    echo = json.loads((tmp_path / "summary.json").read_text())["config"]["algorithms"][0]
+    assert echo["period"] == result.records[0].config["algorithm"]["period"] == 30
 
 
 def test_parse_checks_the_problem_without_building_it(monkeypatch):
@@ -742,6 +786,42 @@ def test_cli_slopes_missing_file(tmp_path, capsys):
     code = cli_main(["slopes", str(tmp_path / "absent.json")])
     assert code == 2
     assert "could not read" in capsys.readouterr().err
+
+
+def test_cli_slopes_rejects_malformed_summaries(tmp_path, capsys):
+    fit = {"algorithm": "sgd", "problem": "p", "metric": "m", "slope": -0.5,
+           "intercept": 0.0, "r_squared": 1.0, "points": [[1, 1], [2, 2], [3, 3]]}
+    # only `slopes` is read: rows that are no summary rows do not matter
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"rows": [{"bogus": 1}], "slopes": [fit]}))
+    assert cli_main(["slopes", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("sgd p m: slope=-0.5000 ")
+    missing_problem = {k: v for k, v in fit.items() if k != "problem"}
+    malformed = ([fit], {"slopes": "x"}, {"slopes": [missing_problem]},
+                 {"slopes": [dict(fit, slope="x")]}, {"slopes": ["x"]})
+    reasons = []
+    for i, doc in enumerate(malformed):
+        path = tmp_path / f"summary{i}.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["slopes", str(path)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        prefix = f"slopes: could not read '{path}': "
+        assert line.startswith(prefix) and captured.out == "", line
+        reasons.append(line[len(prefix):])
+    assert reasons[:3] == ["expected a JSON object whose 'slopes' is a list"] * 2 + [
+        "a slope fit lacks 'problem'"]
+
+
+def test_cli_check_fails_on_a_sandwich_violation(monkeypatch, capsys):
+    def violated(c, alpha):
+        raise AssertionError("sandwich violated: lower=2.0 middle=1.0 upper=4.0")
+
+    monkeypatch.setattr(harness, "prefix_power_sum_bounds", violated)
+    assert cli_main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL sandwich-bounds: sandwich violated: lower=2.0 middle=1.0 upper=4.0\n" in out
+    assert out.count("PASS") == 2
 
 
 def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp_path, capsys):

@@ -88,6 +88,14 @@ def test_root_seed_is_checked_once_by_its_rule(monkeypatch):
     for bad in (2.7, True, "3"):
         with pytest.raises(ValueError, match=r"^seed must be a whole number"):
             RngStream(bad)
+    # -1 and 2**64 used to be read modulo 2**64, as the streams of 2**64 - 1 and 0
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {bad}$"):
+            RngStream(bad)
+    for seed in (0, 2**64 - 1):
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7])))
+        np.testing.assert_array_equal(RngStream(seed).child(7).generator.standard_normal(4),
+                                      want.standard_normal(4))
     draws = RngStream(np.int64(3)).child("x").generator.standard_normal(4)
     np.testing.assert_array_equal(draws, RngStream(3).child("x").generator.standard_normal(4))
     calls = []

@@ -346,18 +346,9 @@ def test_fs_storm_svrg_period_one_always_anchored(fsum):
     assert rec.est_error[0] <= 1e-14
 
 
-def test_fs_storm_svrg_constant_eta_switch(fsum):
-    rec = run_fs_storm_svrg(fsum, 50, seed=8, eta_const=0.02)
-    assert np.all(rec.eta == 0.02)
-    rec2 = run_fs_storm_svrg(fsum, 50, seed=8)
-    assert not np.all(rec2.eta == rec2.eta[0])
-
-
 def test_fs_storm_svrg_rejects_bad_params(fsum):
     with pytest.raises(ValueError, match="period"):
         run_fs_storm_svrg(fsum, 10, seed=0, period=0)
-    with pytest.raises(ValueError, match="eta_const"):
-        run_fs_storm_svrg(fsum, 10, seed=0, eta_const=-0.1)
 
 
 def test_fs_variants_converge(fsum):
@@ -471,7 +462,6 @@ VALUES = {
         st.integers(min_value=1, max_value=10**6),
         st.integers(max_value=0) | st.sampled_from([1.5, 2.5, math.nan]),
     ),
-    "eta_const": (_positive, _nonpositive),
 }
 
 REGISTRY_PAIRS = [(name, key) for name in sorted(ALGORITHMS) for key in tunables(name)]
@@ -483,7 +473,9 @@ _not_whole = st.sampled_from([True, False, 2.7, -0.5, "3", math.nan, math.inf])
 RUN_VALUES = {
     "T": (st.integers(1, 40) | st.sampled_from([1.0, 30.0]),
           st.integers(max_value=0) | _not_whole),
-    "seed": (st.integers(-2**63, 2**64) | st.sampled_from([0.0, 2.0, -3.0]), _not_whole),
+    "seed": (st.integers(0, 2**64 - 1) | st.sampled_from([0.0, 2.0]),
+             st.integers(max_value=-1) | st.integers(min_value=2**64)
+             | st.sampled_from([-3.0, 2.0**64]) | _not_whole),
     "thin": (st.integers(1, 40) | st.sampled_from([1.0, 3.0]),
              st.integers(max_value=0) | _not_whole),
     "jobs": (st.sampled_from([1, 2, 1.0, 2.0]), st.integers(max_value=0) | _not_whole),
@@ -507,7 +499,7 @@ def _outcome(fn):
 
 def test_registry_covers_every_tunable():
     assert {key for _, key in REGISTRY_PAIRS} == set(VALUES)
-    assert tunables("fs_storm_svrg") == {"alpha": 0.3, "period": None, "eta_const": None}
+    assert tunables("fs_storm_svrg") == {"alpha": 0.3, "period": None}
     sampled = {"noisy_quadratic", "nonconvex_smooth", "finite_sum"}
     assert {name: set(families) for name, (_, families) in ALGORITHMS.items()} == {
         "ada_storm": sampled,

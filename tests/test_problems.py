@@ -14,6 +14,7 @@ from stormlab.problems import (
     FiniteSumProblem,
     NoisyQuadratic,
     NonconvexSmooth,
+    check_spec,
     from_spec,
     grad_check,
     make_compositional,
@@ -394,6 +395,18 @@ def test_from_spec_rejects_unknown_name_and_fields(noncvx, fsum, comp):
         message = f"unknown keys in problem '{name}': ['{extra}']"
         with pytest.raises(ValueError, match=re.escape(message)):
             from_spec(dict(problem.spec, **{extra: 0.1}))
+
+
+def test_checked_spec_is_the_problem_spec():
+    fields = {"dim": 3.0, "L": 4, "mu": 1, "sigma": 0, "seed": 2}
+    spec = check_spec({"name": "noisy_quadratic", **fields})
+    assert spec == NoisyQuadratic(**fields).spec
+    assert [type(spec[k]) for k in fields] == [int, float, float, float, int]
+    for key, bad, message in (("L", 10**400, f"L must be a finite real number, got {10**400}"),
+                              ("seed", 2**64, f"seed must lie in [0, 2**64), got {2**64}"),
+                              ("seed", -1, "seed must lie in [0, 2**64), got -1")):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            NoisyQuadratic(**dict(fields, **{key: bad}))
 
 
 def test_make_names_are_the_family_classes():

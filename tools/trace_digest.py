@@ -2,26 +2,25 @@
 
 Three digests, one per line:
 
-* runs       - 36 direct runs: every algorithm on every problem family it
+* runs       - 35 direct runs: every algorithm on every problem family it
                accepts, at T = 300 and again at T = 130 with
                `keep_iterates` (sgd and storm_original with non-default
-               parameters there), plus fs_storm_svrg with `period` and with
-               `period`/`eta_const`, plus fs_storm and then fs_storm_svrg at
-               T = 130 and then 300 on one finite sum large enough
-               (n = 2000) to keep measured blocks, so the T = 300 runs
-               reuse the T = 130 runs' blocks. Each run hashes its seven
-               trace columns, tau, x_tau, x_final, the config JSON in key
-               order, iterates and estimates.
-* unmeasured - the same 36 runs without the three measured columns (f,
+               parameters there), plus fs_storm_svrg with `period`, plus
+               fs_storm and then fs_storm_svrg at T = 130 and then 300 on
+               one finite sum large enough (n = 2000) to keep measured
+               blocks, so the T = 300 runs reuse the T = 130 runs' blocks.
+               Each run hashes its seven trace columns, tau, x_tau, x_final,
+               the config JSON in key order, iterates and estimates.
+* unmeasured - the same 35 runs without the three measured columns (f,
                grad_norm, est_error): everything the algorithms compute,
                which a change to how the trace is measured must not move.
 * artifacts  - every file `write_outputs` writes for the criterion-11
                config, for a three-algorithm grid whose config sets thin
                3 (and again 7 and 1000) and for a grid whose real values
                are written as ints and whole ones as floats, name and
-               bytes, and each grid run's config JSON. summary.json echoes
-               the config as written; a run's config echoes real values as
-               floats and whole ones as ints.
+               bytes, and each grid run's config JSON. summary.json and
+               every run's config echo the checked values: reals as floats,
+               whole numbers as ints.
 
 A refactor that must not change outputs compares these at both commits:
 
@@ -29,7 +28,9 @@ A refactor that must not change outputs compares these at both commits:
 
 With `--keep DIR` (empty or absent) the artifact trees are left in DIR, one
 numbered directory per grid, so two checkouts' trees can be compared with
-`diff -r`.
+`diff -r`. With `--each`, one line per run comes first: its runs digest,
+algorithm, family, T, seed and tunables, so two checkouts' lines can be
+compared with `diff` to find the runs that moved.
 """
 
 import argparse
@@ -84,21 +85,32 @@ def _runs():
             yield optimizers.run_algorithm(
                 name, problem, 130, 2, keep_iterates=True, **EXTRA.get(name, {}))
     finite_sum = problems.from_spec(specs["finite_sum"])
-    for params in ({"period": 7}, {"period": 7, "eta_const": 0.05}):
-        yield optimizers.run_algorithm("fs_storm_svrg", finite_sum, 200, 3, **params)
+    yield optimizers.run_algorithm("fs_storm_svrg", finite_sum, 200, 3, period=7)
     keeps_blocks = problems.from_spec(KEEPS_BLOCKS)
     for name in ("fs_storm", "fs_storm_svrg"):
         for T in (130, 300):
             yield optimizers.run_algorithm(name, keeps_blocks, T, 1)
 
 
-def runs_digests() -> tuple[str, str]:
-    """(runs, unmeasured) digests over the same 36 runs."""
-    runs, unmeasured = hashlib.sha256(), hashlib.sha256()
+def _run_line(record) -> str:
+    """The run's own runs digest, then what it ran."""
+    h = hashlib.sha256()
+    _hash_run(h, record)
+    config = record.config
+    params = {k: v for k, v in config["algorithm"].items() if k != "name"}
+    return (f"{h.hexdigest()} {config['algorithm']['name']} {config['problem']['name']} "
+            f"T={config['T']} seed={config['seed']} {json.dumps(params, sort_keys=True)}")
+
+
+def runs_digests() -> tuple[str, str, list]:
+    """(runs, unmeasured) digests over the same 35 runs, and one
+    `_run_line` per run."""
+    runs, unmeasured, lines = hashlib.sha256(), hashlib.sha256(), []
     for record in _runs():
         _hash_run(runs, record)
         _hash_run(unmeasured, record, skip=MEASURED)
-    return runs.hexdigest(), unmeasured.hexdigest()
+        lines.append(_run_line(record))
+    return runs.hexdigest(), unmeasured.hexdigest(), lines
 
 
 def artifacts_digest(keep=None) -> str:
@@ -123,10 +135,14 @@ def artifacts_digest(keep=None) -> str:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", metavar="DIR", help="leave the artifact trees in DIR")
+    parser.add_argument("--each", action="store_true", help="first print one line per run")
     args = parser.parse_args()
     if args.keep is not None and os.path.isdir(args.keep) and os.listdir(args.keep):
         parser.error(f"--keep directory '{args.keep}' is not empty")
-    runs, unmeasured = runs_digests()
+    runs, unmeasured, lines = runs_digests()
+    if args.each:
+        for line in lines:
+            print(f"run        {line}")
     print(f"runs       {runs}")
     print(f"unmeasured {unmeasured}")
     print(f"artifacts  {artifacts_digest(args.keep)}")
