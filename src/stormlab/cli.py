@@ -1,15 +1,16 @@
 """Command-line front end: `run` a config grid, `check` invariants, or
 print fitted `slopes` from a summary file. Exit code 0 means every cell
 and every enabled check succeeded, 1 that one failed, and 2 a usage error:
-bad arguments, a config that cannot be loaded or an output directory that
-cannot be made, each reported before any cell runs."""
+bad arguments, a config that cannot be loaded, or a grid that `run_grid`
+cannot set up (a bad `--jobs`, a problem that cannot be built, an output
+directory that cannot be made), each reported before any cell runs.
+`run` only reads its arguments and maps errors to exit codes; every check
+and set-up step of a grid is `run_grid`'s."""
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 
 from .harness import (  # noqa: F401 - bench/tracer.py wraps write_outputs here
@@ -18,25 +19,6 @@ from .harness import (  # noqa: F401 - bench/tracer.py wraps write_outputs here
     run_property_checks,
     write_outputs,
 )
-from .numerics import checked
-
-
-def _checked_arg(key):
-    """An argparse type reading its text as a number, as a config would
-    hold it, and checking it by `numerics.RULES[key]`; text that is no
-    number is rejected as it is."""
-    def parse(text):
-        value = text
-        for number in (int, float):
-            with contextlib.suppress(ValueError):
-                value = number(text)
-                break
-        try:
-            return checked(key, value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
 
 
 def _cmd_run(args) -> int:
@@ -46,11 +28,13 @@ def _cmd_run(args) -> int:
         print(f"run: could not load '{args.config}': {exc}", file=sys.stderr)
         return 2
     try:
-        os.makedirs(args.out, exist_ok=True)
+        result = run_grid(config, jobs=args.jobs, out_dir=args.out)
     except OSError as exc:
         print(f"run: could not write to '{args.out}': {exc}", file=sys.stderr)
         return 2
-    result = run_grid(config, jobs=args.jobs, out_dir=args.out)
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     for row in result.rows:
         print(
             f"{row.algorithm} {row.problem} T={row.T} seeds={row.n_seeds} "
@@ -110,7 +94,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config", metavar="CONFIG", help="path to the JSON config")
     p_run.add_argument("--out", metavar="DIR", default="runs",
                        help="output directory (default: runs)")
-    p_run.add_argument("--jobs", metavar="N", type=_checked_arg("jobs"), default=1,
+    p_run.add_argument("--jobs", metavar="N", type=json.loads, default=1,
                        help="parallel worker processes")
     p_run.set_defaults(func=_cmd_run)
 

@@ -218,11 +218,17 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None) -> GridResul
     """Run every (algorithm, T, seed) cell and aggregate summaries.
 
     Cells are independent; jobs > 1 fans them out to worker processes and
-    the merged result is identical to a serial run. The problem is built
-    once per grid (no run changes what it computes) and handed to every cell
-    and worker.
-    A failing cell is reported in `failures` without stopping the rest of
-    the grid, and so is a cell whose worker process dies.
+    the merged result is identical to a serial run. A failing cell is
+    reported in `failures` without stopping the rest of the grid, and so is
+    a cell whose worker process dies.
+
+    Set-up comes first, in this order, before any cell runs or any file is
+    written: `jobs` and `config.thin` are checked by their `numerics.RULES`
+    rules; the problem is built, once per grid (no run changes what it
+    computes) for every cell and worker, and a spec that checks but cannot
+    be built (say, a dim too large to allocate) raises ValueError naming
+    the problem; then `out_dir` is made. A bad value therefore leaves no
+    directory behind.
 
     With `out_dir`, the files `write_outputs(result, config, out_dir)`
     would write are written here instead: each finished cell's trace,
@@ -232,11 +238,15 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None) -> GridResul
     """
     jobs = checked("jobs", jobs)
     thin = checked("thin", config.thin)
+    name = config.problem["name"]
+    try:
+        problem = problems.from_spec(config.problem)
+    except Exception as exc:  # a spec that checks can still fail to build
+        raise ValueError(f"problem '{name}' could not be built: {exc}") from exc
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     grid = list(itertools.product(config.algorithms, config.T_grid, config.seeds))
     cells = [(algo["label"], T, seed) for algo, T, seed in grid]
-    problem = problems.from_spec(config.problem)
 
     result = GridResult(cells=cells, records=[])
     by_group = {}

@@ -24,9 +24,9 @@ pass and table fill computes, so a run's oracle cost in a grid is its cost
 alone.
 
 The random streams are read per block too: every oracle draw and component
-index comes from its stream's BLOCK-draw buffer (`RngStream.normals` and
-`RngStream.index`), whose values are exactly those of one generator call
-per step. Step rules check beta, the shapes and the fixed step-size
+index, each taken through the problem's draw methods, comes from its
+stream's BLOCK-draw buffer (`RngStream.normals` and `RngStream.index`),
+whose values are exactly those of one generator call per step. Step rules check beta, the shapes and the fixed step-size
 arguments once at set-up (`check_recursion`, `ada_lr_law`,
 `finite_sum_lr_law`) and then call the unchecked estimator cores; the
 public `storm_update`, `svrg_update`, `ada_lr` and the rest keep their
@@ -143,15 +143,11 @@ def _registered(name: str):
 
 def tunables(name: str) -> dict:
     """Tunables of a registered algorithm and their defaults, in the order
-    of its runner's signature. The one default of None, the anchored
-    method's `period`, stands for the problem's n, which `check_run` fills
-    in."""
-    runner, _ = _registered(name)
-    return {
-        p.name: p.default
-        for p in inspect.signature(runner).parameters.values()
-        if p.name not in _RUN_ARGS
-    }
+    of its runner's signature (a copy). The one default of None, the
+    anchored method's `period`, stands for the problem's n, which
+    `check_run` fills in."""
+    _registered(name)
+    return dict(_TUNABLES[name])
 
 
 def check_run(name: str, spec: dict, params: dict) -> dict:
@@ -168,7 +164,7 @@ def check_run(name: str, spec: dict, params: dict) -> dict:
     family = spec.get("name")
     if family not in _registered(name)[1]:
         raise ValueError(f"algorithm '{name}' does not accept problem family '{family}'")
-    fields = tunables(name)
+    fields = _TUNABLES[name]
     if "period" in fields and params.get("period") is None:
         params = {**params, "period": spec["n"]}
     return checked_fields(params, fields, f"algorithm '{name}'", prefix=f"{name}: ")
@@ -374,13 +370,13 @@ def _fs_storm_steps(problem, T, x, root, alpha):
     table = GradientTable.from_full_pass(problem, x)
     v = table.mean.copy()
     check_recursion(beta, v, x)
-    component_grad, entries = problem.component_grad, table.entries
+    draw, component_grad, entries = problem.draw, problem.component_grad, table.entries
     sum_sq = 0.0
 
     def step(t, x, x_prev):
         nonlocal v, sum_sq
         if t > 1:
-            i = index_rng.index(n)
+            i = draw(index_rng)
             g_new = component_grad(i, x)
             v = _corrected(v, beta, g_new, component_grad(i, x_prev), entries[i], table.mean)
             table._write(i, g_new)  # the run owns its table: no O(n dim) copy
@@ -410,7 +406,7 @@ def _fs_storm_svrg_steps(problem, T, x, root, alpha, period):
     snapshot = take_snapshot(problem, x, period)
     v = snapshot.full_grad.copy()
     check_recursion(beta, v, x)
-    component_grad = problem.component_grad
+    draw, component_grad = problem.draw, problem.component_grad
     sum_sq = 0.0
 
     def step(t, x, x_prev):
@@ -418,7 +414,7 @@ def _fs_storm_svrg_steps(problem, T, x, root, alpha, period):
         if t > 1:
             if t % period == 0:
                 snapshot = take_snapshot(problem, x, period)
-            i = index_rng.index(n)
+            i = draw(index_rng)
             v = _corrected(
                 v, beta, component_grad(i, x), component_grad(i, x_prev),
                 component_grad(i, snapshot.x), snapshot.full_grad,
@@ -514,6 +510,13 @@ ALGORITHMS = {
     "fs_storm_svrg": (run_fs_storm_svrg, {"finite_sum"}),
     "sgd": (run_sgd, SAMPLED_FAMILIES),
     "storm_original": (run_storm_original, SAMPLED_FAMILIES),
+}
+
+# name -> tunables and their defaults, read once from the runner signatures.
+_TUNABLES = {
+    name: {p.name: p.default for p in inspect.signature(runner).parameters.values()
+           if p.name not in _RUN_ARGS}
+    for name, (runner, _) in ALGORITHMS.items()
 }
 
 

@@ -47,7 +47,6 @@ class StochasticProblem:
     dim: int
     sigma: float
     L: float
-    delta_f: float
     x0: Vector
     spec: dict
 
@@ -96,10 +95,6 @@ class NoisyQuadratic(StochasticProblem):
         self.sigma = sigma
         self.x0 = root.child("x0").generator.standard_normal(dim)
         self.x_star = np.linalg.solve(self.A, -self.b)
-        f_star = 0.5 * float(self.x_star @ (self.A @ self.x_star)) + float(
-            self.b @ self.x_star
-        )
-        self.delta_f = self.objective(self.x0) - f_star
 
     def objective(self, x) -> float:
         return 0.5 * float(x @ (self.A @ x)) + float(self.b @ x)
@@ -130,7 +125,6 @@ class NonconvexSmooth(StochasticProblem):
         self.sigma = sigma
         self.L = float(2.0 * self.coeffs.max() + self.epsilon)
         self.x0 = root.child("x0").generator.standard_normal(dim)
-        self.delta_f = self.objective(self.x0)  # inf f = 0 at the origin
 
     def objective(self, x) -> float:
         x = np.asarray(x)
@@ -181,7 +175,6 @@ class FiniteSumProblem(StochasticProblem):
         row_sq = np.sum(self.features * self.features, axis=1)
         self.L = float(2.0 * row_sq.max())  # |l''| <= 2
         self.x0 = root.child("x0").generator.standard_normal(dim)
-        self.delta_f = self.objective(self.x0)  # losses are bounded below by 0
         self._measured = {}  # (shape, dtype, bytes) of a block -> its (f, G)
         self._measured_bytes = 0
 
@@ -293,7 +286,6 @@ class CompositionalProblem:
         top_sv = float(np.linalg.norm(self.matrix, 2))
         self.L = top_sv * top_sv  # smoothness of the exact composition
         self.x0 = root.child("x0").generator.standard_normal(dim)
-        self.delta_f = self.objective(self.x0)  # F >= 0
 
     def inner_true(self, x) -> Vector:
         return self.matrix @ x + self.offset
@@ -348,6 +340,12 @@ FAMILIES = {
     "compositional": CompositionalProblem,
 }
 
+# name -> its fields, each REQUIRED, read once from the constructor signatures.
+_FIELDS = {
+    name: dict.fromkeys(inspect.signature(cls).parameters, REQUIRED)
+    for name, cls in FAMILIES.items()
+}
+
 # The factory names are the classes themselves.
 make_noisy_quadratic = NoisyQuadratic
 make_nonconvex_smooth = NonconvexSmooth
@@ -371,9 +369,8 @@ def check_spec(spec: dict) -> dict:
     name = spec.get("name")
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown problem {name!r}, expected one of {sorted(FAMILIES)}")
-    fields = dict.fromkeys(inspect.signature(FAMILIES[name]).parameters, REQUIRED)
     given = {k: v for k, v in spec.items() if k != "name"}
-    out = {"name": name, **checked_fields(given, fields, f"problem '{name}'", prefix="")}
+    out = {"name": name, **checked_fields(given, _FIELDS[name], f"problem '{name}'", prefix="")}
     if "mu" in out and out["mu"] > out["L"]:
         raise ValueError(f"need mu <= L, got mu={out['mu']!r}, L={out['L']!r}")
     return out

@@ -751,6 +751,38 @@ def test_cli_run_out_that_cannot_be_made_is_a_usage_error(tiny_config_file, tmp_
     assert taken.read_text() == "not a directory\n"
 
 
+# One field per family set past anything numpy can shape: each build fails
+# in milliseconds before allocating its arrays, after the spec has checked.
+UNBUILDABLE = [
+    {"name": "noisy_quadratic", "dim": 10**30, "L": 5.0, "mu": 1.0, "sigma": 0.5, "seed": 3},
+    {"name": "nonconvex_smooth", "dim": 10**30, "sigma": 0.5, "seed": 3},
+    {"name": "finite_sum", "n": 10**30, "dim": 4, "seed": 3},
+    {"name": "compositional", "dim": 4, "inner_dim": 10**30, "sigma": 0.5, "seed": 3},
+]
+
+
+@pytest.mark.parametrize("spec", UNBUILDABLE, ids=lambda spec: spec["name"])
+def test_problem_that_cannot_be_built_fails_before_any_output(spec, tmp_path, capsys):
+    name = "comp_storm" if spec["name"] == "compositional" else "sgd"
+    doc = {"problem": spec, "algorithms": [{"name": name}], "grid": {"T": 20, "seeds": 1}}
+    config = parse_config(doc)  # the spec checks; only building it fails
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="^jobs must be >= 1, got 0$"):  # checked first
+        run_grid(config, jobs=0, out_dir=out_dir)
+    with pytest.raises(ValueError, match=f"^problem '{spec['name']}' could not be built: "):
+        run_grid(config, out_dir=out_dir)
+    assert not out_dir.exists()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    for jobs in ("1", "2"):
+        assert cli_main(["run", str(path), "--out", str(out_dir), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"run: problem '{spec['name']}' could not be built: ")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+
 def test_cli_check_passes(capsys):
     code = cli_main(["check"])
     out = capsys.readouterr().out
@@ -825,14 +857,15 @@ def test_cli_check_fails_on_a_sandwich_violation(monkeypatch, capsys):
 
 
 def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp_path, capsys):
+    # --jobs is read as a config's number and checked only by run_grid
     for bad, message in (("0", "must be >= 1, got 0"),
                          ("2.5", "must be a whole number, got 2.5"),
-                         ("true", "must be a whole number, got 'true'")):
+                         ("true", "must be a whole number, got True")):
         out_dir = tmp_path / "out--jobs"
-        with pytest.raises(SystemExit) as info:
-            cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--jobs", bad])
-        assert info.value.code == 2
-        assert f"argument --jobs: jobs {message}" in capsys.readouterr().err
+        assert cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--jobs", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"run: jobs {message}"]
+        assert captured.out == ""
         assert not out_dir.exists()
     # a config that cannot be read or parsed is a usage error too, not a failed cell
     truncated = tmp_path / "truncated.json"

@@ -512,6 +512,38 @@ def test_registry_covers_every_tunable():
     }
 
 
+def test_signatures_are_read_once_at_import(monkeypatch, fsum):
+    import inspect
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a signature was read after import")
+
+    monkeypatch.setattr(inspect, "signature", unread)
+    doc = {"problem": dict(fsum.spec), "grid": {"T": 30, "seeds": 1},
+           "algorithms": [{"name": "fs_storm_svrg"}, {"name": "sgd", "eta0": 0.05}]}
+    assert parse_config(doc).algorithms[0] == {
+        "name": "fs_storm_svrg", "label": "fs_storm_svrg", "alpha": 0.3, "period": 8}
+    assert run_fs_storm_svrg(fsum, 30, seed=1).config["algorithm"]["period"] == 8
+    assert tunables("sgd") == {"eta0": 0.1, "decay": 0.0}
+    tunables("sgd")["eta0"] = 1.0  # a copy: the registry keeps its defaults
+    assert tunables("sgd") == {"eta0": 0.1, "decay": 0.0}
+
+
+@pytest.mark.parametrize("runner", [run_fs_storm, run_fs_storm_svrg])
+def test_finite_sum_rules_draw_through_the_problem(runner, fsum, monkeypatch):
+    draws = []
+    draw = FiniteSumProblem.draw
+
+    def counted(self, rng):
+        draws.append(draw(self, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(FiniteSumProblem, "draw", counted)
+    runner(fsum, 41, seed=5)
+    assert len(draws) == 40  # one index per step after the first
+    assert all(0 <= i < fsum.n for i in draws)
+
+
 def _entry_points(name, key, value, scratch):
     """Every public entry point that takes `key`, each as a call passing
     `value`: parse_config with `value` in its config place, then the runs."""
