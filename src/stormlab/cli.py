@@ -10,11 +10,13 @@ and set-up step of a grid is `run_grid`'s."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from .harness import (  # noqa: F401 - bench/tracer.py wraps write_outputs here
     load_config,
+    load_summary,
     run_grid,
     run_property_checks,
     write_outputs,
@@ -27,8 +29,11 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"run: could not load '{args.config}': {exc}", file=sys.stderr)
         return 2
+    jobs = args.jobs  # read as a config's numbers are; text that is no JSON goes on as it is
+    with contextlib.suppress(ValueError):
+        jobs = json.loads(args.jobs)
     try:
-        result = run_grid(config, jobs=args.jobs, out_dir=args.out)
+        result = run_grid(config, jobs=jobs, out_dir=args.out)
     except OSError as exc:
         print(f"run: could not write to '{args.out}': {exc}", file=sys.stderr)
         return 2
@@ -63,22 +68,18 @@ def _cmd_check(_args) -> int:
 
 
 def _cmd_slopes(args) -> int:
-    """Print the slope fits of a summary.json, reading nothing else from it."""
+    """Print the slope fits of a summary.json read by `load_summary`."""
     try:
-        with open(args.summary, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or not isinstance(doc.get("slopes", []), list):
-            raise ValueError("expected a JSON object whose 'slopes' is a list")
-        lines = [
-            f"{fit['algorithm']} {fit['problem']} {fit['metric']}: "
-            f"slope={fit['slope']:.4f} intercept={fit['intercept']:.4f} "
-            f"r^2={fit['r_squared']:.4f} points={len(fit['points'])}"
-            for fit in doc.get("slopes", [])
-        ]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        reason = f"a slope fit lacks {exc}" if isinstance(exc, KeyError) else exc
-        print(f"slopes: could not read '{args.summary}': {reason}", file=sys.stderr)
+        _, slopes, _ = load_summary(args.summary)
+    except (OSError, ValueError) as exc:
+        print(f"slopes: could not read '{args.summary}': {exc}", file=sys.stderr)
         return 2
+    lines = [
+        f"{fit['algorithm']} {fit['problem']} {fit['metric']}: "
+        f"slope={fit['slope']:.4f} intercept={fit['intercept']:.4f} "
+        f"r^2={fit['r_squared']:.4f} points={len(fit['points'])}"
+        for fit in slopes
+    ]
     print("\n".join(lines) or "no slope fits available (need >= 3 horizons per algorithm)")
     return 0
 
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config", metavar="CONFIG", help="path to the JSON config")
     p_run.add_argument("--out", metavar="DIR", default="runs",
                        help="output directory (default: runs)")
-    p_run.add_argument("--jobs", metavar="N", type=json.loads, default=1,
+    p_run.add_argument("--jobs", metavar="N", default="1",
                        help="parallel worker processes")
     p_run.set_defaults(func=_cmd_run)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import problems
 from .analysis import fit_loglog_slope, prefix_power_sum_bounds, summarize
-from .numerics import REQUIRED, RngStream, checked, checked_fields
+from .numerics import REQUIRED, RngStream, checked, checked_fields, real, whole
 from .optimizers import RunRecord, check_run, run_algorithm
 
 
@@ -277,10 +277,14 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None) -> GridResul
     return result
 
 
+# The keys of a slope fit, in the order `fit_slopes` fills them.
+SLOPE_KEYS = ("algorithm", "problem", "metric", "slope", "intercept", "r_squared", "points")
+
+
 def fit_slopes(rows) -> list:
     """Log-log fit of avg_grad_norm against T for each (algorithm, problem)
-    in `rows`, in first-seen order; groups with fewer than three horizons
-    or a nonpositive value are left out."""
+    in `rows`, in first-seen order, as a dict with the `SLOPE_KEYS`; groups
+    with fewer than three horizons or a nonpositive value are left out."""
     groups = {}
     for row in rows:
         groups.setdefault((row.algorithm, row.problem), []).append((row.T, row.avg_grad_norm))
@@ -289,17 +293,9 @@ def fit_slopes(rows) -> list:
         points.sort()
         if len(points) >= 3 and all(y > 0 for _, y in points):
             fit = fit_loglog_slope(points)
-            slopes.append(
-                {
-                    "algorithm": algorithm,
-                    "problem": problem,
-                    "metric": "avg_grad_norm",
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "r_squared": fit.r_squared,
-                    "points": [list(p) for p in fit.points],
-                }
-            )
+            values = (algorithm, problem, "avg_grad_norm", fit.slope, fit.intercept,
+                      fit.r_squared, [list(p) for p in fit.points])
+            slopes.append(dict(zip(SLOPE_KEYS, values)))
     return slopes
 
 
@@ -336,23 +332,24 @@ def write_outputs(result: GridResult, config: ExperimentConfig, out_dir):
 
 
 def _write_summaries(result: GridResult, config: ExperimentConfig, out_dir) -> list:
-    """Write summary.csv, summary.json and the plot CSVs; returns their paths."""
-    paths = []
-    names = [f.name for f in fields(SummaryRow)]
-    summary_csv = os.path.join(out_dir, "summary.csv")
-    _write_csv(summary_csv, {name: [getattr(r, name) for r in result.rows] for name in names})
-    paths.append(summary_csv)
-
+    """Write summary.csv, summary.json and the plot CSVs; returns their paths.
+    A non-finite float raises ValueError before any of them is written."""
     doc = {
         "config": json.loads(config.to_json()),
         "rows": [asdict(r) for r in result.rows],
         "slopes": result.slopes,
         "failures": result.failures,
     }
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    paths = []
+    names = [f.name for f in fields(SummaryRow)]
+    summary_csv = os.path.join(out_dir, "summary.csv")
+    _write_csv(summary_csv, {name: [getattr(r, name) for r in result.rows] for name in names})
+    paths.append(summary_csv)
+
     summary_json = os.path.join(out_dir, "summary.json")
     with open(summary_json, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     paths.append(summary_json)
 
     plot_names = [name for name in names if name not in ("algorithm", "problem", "n_seeds")]
@@ -369,12 +366,57 @@ def _write_summaries(result: GridResult, config: ExperimentConfig, out_dir) -> l
     return paths
 
 
+def _read(value, shape, where):
+    """value read by `shape`, or ValueError naming `where`: a dict is an
+    object with exactly its keys, a tuple a list of exactly its shapes, a
+    one-item list a list of its shape, `str` a string, else shape(value, where)."""
+    if isinstance(shape, dict):
+        value = checked_fields(value, dict.fromkeys(shape, REQUIRED), where)
+        return {key: _read(value[key], item, f"{where} {key}") for key, item in shape.items()}
+    if isinstance(shape, (list, tuple)):
+        exact = isinstance(shape, tuple)
+        if not isinstance(value, list) or exact and len(value) != len(shape):
+            wanted = f"a list of {len(shape)}" if exact else "a list"
+            raise ValueError(f"{where} must be {wanted}, got {value!r}")
+        shapes = shape if exact else shape * len(value)
+        return [_read(item, s, f"{where}[{i}]") for i, (item, s) in enumerate(zip(value, shapes))]
+    if shape is str and not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    return value if shape is str else shape(value, where)
+
+
+def _config_echo(value, where) -> dict:
+    """A config echo: a JSON object that passes `parse_config`."""
+    if not isinstance(value, dict):  # parse_config would read a string as JSON text
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    try:
+        parse_config(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return value
+
+
+# summary.json as `_write_summaries` writes it, by the writer's own key
+# lists: the SummaryRow fields, SLOPE_KEYS and a failure's keys.
+_SUMMARY = {
+    "config": _config_echo,
+    "rows": [{f.name: {"str": str, "int": whole, "float": real}[f.type]
+              for f in fields(SummaryRow)}],
+    "slopes": [dict(zip(SLOPE_KEYS, (str, str, str, real, real, real, [(real, real)])))],
+    "failures": [dict.fromkeys(("cell", "error"), str)],
+}
+
+
 def load_summary(path):
-    """Reparse summary.json into (rows, slopes, failures)."""
+    """(rows, slopes, failures) of a summary.json, equal to the written
+    `GridResult`'s. The file must hold what `_write_summaries` writes: a
+    config echo that passes `parse_config`, and entries with exactly the
+    writer's keys and values read by `numerics.whole` and `numerics.real`,
+    which refuse NaN and Infinity. Anything else raises ValueError naming
+    the part; a file that cannot be read raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rows = [SummaryRow(**r) for r in doc.get("rows", [])]
-    return rows, doc.get("slopes", []), doc.get("failures", [])
+        doc = _read(json.load(fh), _SUMMARY, "summary.json")
+    return [SummaryRow(**row) for row in doc["rows"]], doc["slopes"], doc["failures"]
 
 
 # ---------------------------------------------------------------------------

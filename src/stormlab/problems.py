@@ -353,27 +353,29 @@ make_finite_sum = FiniteSumProblem
 make_compositional = CompositionalProblem
 
 
-def check_spec(spec: dict) -> dict:
-    """The spec with its fields checked as `from_spec` would, without
-    building the problem: each by its `numerics.RULES` rule, whole-number
-    fields as ints and real ones as floats. The one rule across fields,
-    mu <= L, is here.
-
-    A spec that is no dict, an unknown name (any name that is not a
-    registered string), unknown or missing fields and out-of-range values
-    raise ValueError, so config typos fail loudly instead of silently
-    picking defaults.
-    """
+def _family_fields(spec, prefix=None) -> tuple:
+    """(name, fields) of a spec: its name must be a registered family (a
+    spec that is no dict, or any other name, raises ValueError) and its
+    other keys that family's fields, by `checked_fields` with `prefix`."""
     if not isinstance(spec, dict):
         raise ValueError(f"problem must be a JSON object, got {spec!r}")
     name = spec.get("name")
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown problem {name!r}, expected one of {sorted(FAMILIES)}")
     given = {k: v for k, v in spec.items() if k != "name"}
-    out = {"name": name, **checked_fields(given, _FIELDS[name], f"problem '{name}'", prefix="")}
-    if "mu" in out and out["mu"] > out["L"]:
-        raise ValueError(f"need mu <= L, got mu={out['mu']!r}, L={out['L']!r}")
-    return out
+    return name, checked_fields(given, _FIELDS[name], f"problem '{name}'", prefix)
+
+
+def check_spec(spec: dict) -> dict:
+    """The spec checked as building its problem checks it, without building
+    it: its name, unknown and missing fields, each value by its
+    `numerics.RULES` rule (whole-number fields as ints and real ones as
+    floats) and the one rule across fields, mu <= L. A failure raises
+    ValueError, so config typos fail loudly instead of picking defaults."""
+    name, fields = _family_fields(spec, prefix="")
+    if "mu" in fields and fields["mu"] > fields["L"]:
+        raise ValueError(f"need mu <= L, got mu={fields['mu']!r}, L={fields['L']!r}")
+    return {"name": name, **fields}
 
 
 def _own_spec(problem, args) -> list:
@@ -387,10 +389,11 @@ def _own_spec(problem, args) -> list:
 
 
 def from_spec(spec: dict):
-    """Build a problem from a config mapping with a `name` key, checked by
-    `check_spec`."""
-    fields = check_spec(spec)
-    return FAMILIES[fields.pop("name")](**fields)
+    """Build a problem from a config mapping with a `name` key. The spec's
+    name and keys are resolved here; its values are checked once, by the
+    family's constructor (`check_spec`)."""
+    name, fields = _family_fields(spec)
+    return FAMILIES[name](**fields)
 
 
 def grad_check(problem, x, h=1e-5) -> float:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import runpy
 import struct
 import subprocess
 import sys
@@ -39,6 +40,15 @@ BASE_CONFIG = {
     ],
     "grid": {"T": [40, 80, 160], "seeds": [1, 2, 3, 4, 5]},
     "output": {"thin": 1},
+}
+
+
+# A grid whose cells all diverge.
+DIVERGING = {
+    "problem": {"name": "noisy_quadratic", "dim": 20, "L": 10.0, "mu": 1.0,
+                "sigma": 1.0, "seed": 11},
+    "algorithms": [{"name": "sgd", "eta0": 5}],
+    "grid": {"T": [500, 1000, 2000], "seeds": [1, 2]},
 }
 
 
@@ -265,6 +275,16 @@ def test_parse_checks_the_problem_without_building_it(monkeypatch):
         parse_config(dict(doc, problem={"name": "finite_sum", "n": 0, "dim": 20, "seed": 1}))
 
 
+def test_a_grid_checks_its_problem_spec_once_at_parse_and_once_at_build(monkeypatch):
+    calls = []
+    check_spec = problems.check_spec
+    monkeypatch.setattr(problems, "check_spec", lambda spec: calls.append(spec) or check_spec(spec))
+    cfg = parse_config(_config(grid={"T": [20], "seeds": [1]}))
+    assert len(calls) == 1
+    run_grid(cfg)
+    assert len(calls) == 2
+
+
 def test_parse_rejects_bad_grid_and_labels():
     doc = _config()
     doc["grid"]["T"] = [0]
@@ -470,10 +490,26 @@ def test_thinning_does_not_change_summary(small_result, tmp_path):
 def test_summary_json_round_trip(small_result, tmp_path):
     cfg, result = small_result
     write_outputs(result, cfg, tmp_path)
-    rows, slopes, failures = load_summary(tmp_path / "summary.json")
-    assert rows == result.rows
-    assert failures == []
-    assert [s["slope"] for s in slopes] == [s["slope"] for s in result.slopes]
+    assert load_summary(tmp_path / "summary.json") == (result.rows, result.slopes, [])
+    # the criterion-11 grid, a grid whose cells fail and one whose values are
+    # written as the other kind of number, through both writers
+    digest = runpy.run_path(os.path.join(os.path.dirname(__file__), "..", "tools",
+                                         "trace_digest.py"))
+    for i, doc in enumerate((digest["CRITERION_11"], DIVERGING, digest["AS_WRITTEN"])):
+        cfg = parse_config(doc)
+        result = run_grid(cfg, out_dir=tmp_path / str(i))
+        write_outputs(result, cfg, tmp_path / f"{i}-again")
+        for out in (tmp_path / str(i), tmp_path / f"{i}-again"):
+            loaded = load_summary(out / "summary.json")
+            assert loaded == (result.rows, result.slopes, result.failures), out
+
+
+def test_summary_json_refuses_non_finite_values(small_result, tmp_path):
+    cfg, result = small_result
+    rows = [dataclasses.replace(result.rows[0], avg_grad_norm=math.nan)]
+    with pytest.raises(ValueError, match="Out of range float values"):
+        write_outputs(GridResult(cells=[], records=[], rows=rows), cfg, tmp_path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_float_serialization_17_digits(tmp_path, small_result):
@@ -820,29 +856,67 @@ def test_cli_slopes_missing_file(tmp_path, capsys):
     assert "could not read" in capsys.readouterr().err
 
 
-def test_cli_slopes_rejects_malformed_summaries(tmp_path, capsys):
-    fit = {"algorithm": "sgd", "problem": "p", "metric": "m", "slope": -0.5,
-           "intercept": 0.0, "r_squared": 1.0, "points": [[1, 1], [2, 2], [3, 3]]}
-    # only `slopes` is read: rows that are no summary rows do not matter
-    path = tmp_path / "rows.json"
-    path.write_text(json.dumps({"rows": [{"bogus": 1}], "slopes": [fit]}))
-    assert cli_main(["slopes", str(path)]) == 0
-    assert capsys.readouterr().out.startswith("sgd p m: slope=-0.5000 ")
-    missing_problem = {k: v for k, v in fit.items() if k != "problem"}
-    malformed = ([fit], {"slopes": "x"}, {"slopes": [missing_problem]},
-                 {"slopes": [dict(fit, slope="x")]}, {"slopes": ["x"]})
-    reasons = []
-    for i, doc in enumerate(malformed):
+def _malformed_summaries(doc):
+    """(text, reason) for each way of spoiling the valid summary `doc`."""
+    def edited(edit):
+        copy = json.loads(json.dumps(doc))
+        edit(copy)
+        return json.dumps(copy)
+
+    def set_in(part, **values):
+        return edited(lambda d: d[part][0].update(values))
+
+    def drop_from(part, key):
+        return edited(lambda d: d[part][0].pop(key))
+
+    where = "summary.json"
+    return [
+        (set_in("slopes", slope=math.nan), f"{where} slopes[0] slope must be a finite real "
+         "number, got nan"),
+        (set_in("rows", avg_grad_norm=-math.inf), f"{where} rows[0] avg_grad_norm must be a "
+         "finite real number, got -inf"),
+        (json.dumps(doc)[:-5], "Expecting "),
+        (json.dumps([doc]), f"{where} must be a JSON object, got ["),
+        (edited(lambda d: d.pop("failures")), f"missing keys in {where}: ['failures']"),
+        (edited(lambda d: d.update(extra=1)), f"unknown keys in {where}: ['extra']"),
+        (drop_from("rows", "T"), f"missing keys in {where} rows[0]: ['T']"),
+        (set_in("rows", extra=1), f"unknown keys in {where} rows[0]: ['extra']"),
+        (set_in("rows", n_seeds=2.5), f"{where} rows[0] n_seeds must be a whole number"),
+        (drop_from("slopes", "problem"), f"missing keys in {where} slopes[0]: ['problem']"),
+        (set_in("slopes", slope="x"), f"{where} slopes[0] slope must be a finite real number, "
+         "got 'x'"),
+        (set_in("slopes", points=[[40, 1.0, 2.0]]), f"{where} slopes[0] points[0] must be a "
+         "list of 2, got [40, 1.0, 2.0]"),
+        (edited(lambda d: d.update(slopes="x")), f"{where} slopes must be a list, got 'x'"),
+        (edited(lambda d: d.update(failures=[{"cell": "c"}])),
+         f"missing keys in {where} failures[0]: ['error']"),
+        (edited(lambda d: d.update(config=json.dumps(d["config"]))),
+         f"{where} config must be a JSON object, got '{{"),
+        (edited(lambda d: d["config"]["grid"].update(T=[0])),
+         f"{where} config: grid T must be >= 1, got 0"),
+    ]
+
+
+def test_cli_slopes_rejects_malformed_summaries(tiny_config_file, tmp_path, capsys):
+    # load_summary and `stormlab slopes` refuse the same files for the same reason
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", str(tiny_config_file), "--out", str(out_dir)]) == 0
+    doc = json.loads((out_dir / "summary.json").read_text())
+    assert doc["rows"] and doc["slopes"] and doc["failures"] == []
+    doc["failures"] = [{"cell": "sgd__noisy_quadratic__T20__seed3", "error": "E: e"}]
+    cases = _malformed_summaries(doc)
+    assert "NaN" in cases[0][0] and "-Infinity" in cases[1][0]
+    capsys.readouterr()
+    for i, (text, reason) in enumerate(cases):
         path = tmp_path / f"summary{i}.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load_summary(path)
+        assert str(raised.value).startswith(reason), (str(raised.value), reason)
         assert cli_main(["slopes", str(path)]) == 2
         captured = capsys.readouterr()
-        (line,) = captured.err.splitlines()
-        prefix = f"slopes: could not read '{path}': "
-        assert line.startswith(prefix) and captured.out == "", line
-        reasons.append(line[len(prefix):])
-    assert reasons[:3] == ["expected a JSON object whose 'slopes' is a list"] * 2 + [
-        "a slope fit lacks 'problem'"]
+        assert captured.err.splitlines() == [f"slopes: could not read '{path}': {raised.value}"]
+        assert captured.out == ""
 
 
 def test_cli_check_fails_on_a_sandwich_violation(monkeypatch, capsys):
@@ -860,7 +934,8 @@ def test_cli_run_rejects_nonpositive_counts_before_running(tiny_config_file, tmp
     # --jobs is read as a config's number and checked only by run_grid
     for bad, message in (("0", "must be >= 1, got 0"),
                          ("2.5", "must be a whole number, got 2.5"),
-                         ("true", "must be a whole number, got True")):
+                         ("true", "must be a whole number, got True"),
+                         ("abc", "must be a whole number, got 'abc'")):
         out_dir = tmp_path / "out--jobs"
         assert cli_main(["run", str(tiny_config_file), "--out", str(out_dir), "--jobs", bad]) == 2
         captured = capsys.readouterr()
@@ -942,12 +1017,7 @@ def test_package_import_leaves_the_process_pool_unloaded():
 
 
 def test_diverging_cells_fail_and_summary_json_stays_strict(tmp_path):
-    doc = {
-        "problem": {"name": "noisy_quadratic", "dim": 20, "L": 10.0, "mu": 1.0,
-                    "sigma": 1.0, "seed": 11},
-        "algorithms": [{"name": "sgd", "eta0": 5}],
-        "grid": {"T": [500, 1000, 2000], "seeds": [1, 2]},
-    }
+    doc = DIVERGING
     cfg = parse_config(doc)
     result = run_grid(cfg)
     assert not result.ok
