@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-from stormlab import load_summary, parse_config, run_grid, write_outputs
+from stormlab import load_summary, parse_config, run_grid
 
 CONFIG = {
     "problem": {
@@ -36,22 +36,22 @@ def main():
     print(config.to_json())
     print()
 
-    result = run_grid(config, jobs=2)
-    print(f"ran {len(result.cells)} cells, failures: {len(result.failures)}")
-    print()
-    print("cross-seed summary rows:")
-    for row in result.rows:
-        print(
-            f"  {row.algorithm:>10}  T={row.T:>4}  "
-            f"avg |grad| = {row.avg_grad_norm:.4f} +- {row.avg_grad_norm_stderr:.4f}"
-        )
-
     with tempfile.TemporaryDirectory() as out:
-        paths = write_outputs(result, config, out)
+        result = run_grid(config, jobs=2, out_dir=out)
+        print(f"ran {len(result.cells)} cells, failures: {len(result.failures)}")
         print()
-        print(f"wrote {len(paths)} files:")
-        for p in sorted(os.listdir(out))[:6]:
-            print(f"  {p}")
+        print("cross-seed summary rows:")
+        for row in result.rows:
+            print(
+                f"  {row.algorithm:>10}  T={row.T:>4}  "
+                f"avg |grad| = {row.avg_grad_norm:.4f} +- {row.avg_grad_norm_stderr:.4f}"
+            )
+
+        names = sorted(os.listdir(out))
+        print()
+        print(f"wrote {len(names)} files:")
+        for name in names[:6]:
+            print(f"  {name}")
         print("  ...")
 
         rows, slopes, failures = load_summary(os.path.join(out, "summary.json"))
@@ -63,10 +63,11 @@ def main():
                 f"r^2={fit['r_squared']:.3f}"
             )
 
-        with open(os.path.join(out, paths[0].split(os.sep)[-1])) as fh:
+        trace = next(name for name in names if name.startswith("trace__"))
+        with open(os.path.join(out, trace)) as fh:
             head = [next(fh) for _ in range(3)]
         print()
-        print(f"first trace file ({os.path.basename(paths[0])}), thinned 4x:")
+        print(f"first trace file ({trace}), thinned 4x:")
         for line in head:
             print("  " + line.rstrip()[:72])
 

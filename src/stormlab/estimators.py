@@ -36,11 +36,6 @@ from .numerics import Vector, checked
 TABLE_RESYNC_EVERY = 1000
 
 
-def _check_beta(beta):
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-
-
 def _check_same_shape(*arrays):
     shapes = {a.shape for a in arrays}
     if len(shapes) > 1:
@@ -48,9 +43,9 @@ def _check_same_shape(*arrays):
 
 
 def check_recursion(beta: float, *arrays) -> list:
-    """The checks every update makes: beta in (0, 1] and one shape for all
-    arrays. Returns the arrays as float64."""
-    _check_beta(beta)
+    """The checks every update makes: beta by its `numerics.RULES` rule, in
+    (0, 1], and one shape for all arrays. Returns the arrays as float64."""
+    checked("beta", beta)
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     _check_same_shape(*arrays)
     return arrays
@@ -76,8 +71,7 @@ def storm_init(problem, x, batch_size: int, rng) -> Vector:
     Mean squared error against the exact gradient scales like 1/batch_size,
     so a modest warm-up batch pins down the first estimate.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = checked("batch_size", batch_size)
     x = np.asarray(x, dtype=np.float64)
     total = np.zeros_like(x)
     for _ in range(batch_size):

@@ -74,19 +74,21 @@ def real(value, what) -> float:
 
 
 # Every named value's rule, (kind, test, wording), keyed by name: problem
-# fields, algorithm tunables, a run's T and seed, a grid's thin and jobs and
-# the set-up arguments of the step-size laws. `checked` applies them.
+# fields, algorithm tunables, a run's T and seed, a grid's thin and jobs, the
+# arguments of the step-size laws (their running sums included), the
+# estimators' beta and a warm-up batch size. `checked` applies them.
 _ONE_OR_MORE = (whole, lambda v: v >= 1, "be >= 1")
 _POSITIVE = (real, lambda v: v > 0, "be > 0")
 _NONNEGATIVE = (real, lambda v: v >= 0, "be >= 0")
 RULES = {
-    **dict.fromkeys(("T", "dim", "n", "inner_dim", "horizon", "period", "thin", "jobs"),
-                    _ONE_OR_MORE),
+    **dict.fromkeys(("T", "dim", "n", "inner_dim", "horizon", "period", "thin", "jobs",
+                     "batch_size"), _ONE_OR_MORE),
     **dict.fromkeys(("L", "mu", "eta0", "k", "w", "c"), _POSITIVE),
-    **dict.fromkeys(("sigma", "decay"), _NONNEGATIVE),
+    **dict.fromkeys(("sigma", "decay", "sum_sq", "grad_sum_sq"), _NONNEGATIVE),
     # The seeds whose streams differ: PCG64 reads a seed as 64 bits.
     "seed": (whole, lambda v: 0 <= v <= _UINT64_MASK, "lie in [0, 2**64)"),
     "alpha": (real, lambda a: 0.0 < a < 1.0 / 3.0, "lie in (0, 1/3)"),
+    "beta": (real, lambda b: 0.0 < b <= 1.0, "lie in (0, 1]"),
 }
 
 
@@ -125,18 +127,9 @@ def checked_fields(given, fields, where, prefix=None) -> dict:
 
 
 def gaussian(rng: "RngStream", dim: int, sigma: float) -> Vector:
-    """Draw an i.i.d. N(0, sigma^2) vector of length dim.
-
-    sigma = 0 returns the zero vector without consuming any draws, so
-    noiseless runs do not depend on stream position.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0.0:
-        return np.zeros(dim)
-    return rng.normals(dim, sigma)
+    """Draw an i.i.d. N(0, sigma^2) vector of length dim: `rng.normals` once
+    dim and sigma pass their `RULES`."""
+    return rng.normals(checked("dim", dim), checked("sigma", sigma))
 
 
 def _label_entropy(label) -> int:
@@ -199,9 +192,14 @@ class RngStream:
     def normals(self, k: int, scale: float = 1.0) -> np.ndarray:
         """`scale * generator.standard_normal(k)`, read from the buffer.
 
-        The result may be a view into the buffer block; the stream never
-        writes to a block it has handed out.
+        scale = 0 returns k zeros without drawing, so a noiseless run does
+        not depend on the stream's position. The result may be a view into
+        the buffer block; the stream never writes to a block it has handed
+        out. A read that fails, such as one of 2.5 values, leaves the
+        stream's position where it was.
         """
+        if scale == 0.0:
+            return np.zeros(k)
         pos = self._pos
         end = pos + k
         if end > self._size or self._kind != "normal" or self._param != scale:
@@ -209,8 +207,9 @@ class RngStream:
                 return scale * self.generator.standard_normal(k)
             self._refill("normal", scale, k)
             pos, end = 0, k
+        out = self._buf[pos:end]
         self._pos = end
-        return self._buf[pos:end]
+        return out
 
     def index(self, n: int) -> int:
         """`int(generator.integers(n))`, read from the buffer."""

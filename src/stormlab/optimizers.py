@@ -26,14 +26,17 @@ alone.
 The random streams are read per block too: every oracle draw and component
 index, each taken through the problem's draw methods, comes from its
 stream's BLOCK-draw buffer (`RngStream.normals` and `RngStream.index`),
-whose values are exactly those of one generator call per step. Step rules check beta, the shapes and the fixed step-size
-arguments once at set-up (`check_recursion`, `ada_lr_law`,
-`finite_sum_lr_law`) and then call the unchecked estimator cores; the
-public `storm_update`, `svrg_update`, `ada_lr` and the rest keep their
-checks for every other caller. The finite-sum rules still call
-`problem.component_grad` exactly 2 (table) or 3 (anchored) times per step:
-those calls are the oracle cost the method is analysed in, and a batched
-evaluation would change both the counted cost and the gradients' bits.
+whose values are exactly those of one generator call per step.
+
+Step rules check beta, the shapes and the fixed step-size arguments once
+at set-up (`check_recursion`, `ada_lr_law`, `finite_sum_lr_law`,
+`storm_original_law`) and then call the unchecked estimator cores and the
+built laws; the public `storm_update`, `svrg_update`, `ada_lr`,
+`storm_original_params` and the rest keep their checks for every other
+caller. The finite-sum rules still call `problem.component_grad` exactly 2
+(table) or 3 (anchored) times per step: those calls are the oracle cost the
+method is analysed in, and a batched evaluation would change both the
+counted cost and the gradients' bits.
 
 `ALGORITHMS` is the one registry of algorithms. A runner's signature holds
 the algorithm's tunables and their defaults, and `numerics.RULES` holds each
@@ -66,7 +69,9 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     take_snapshot,
 )
 from .numerics import BLOCK, RngStream, as_vector, checked, checked_fields, norm_sq
-from .schedules import (  # noqa: F401 - bench/tracer.py wraps ada_lr, finite_sum_lr here
+# bench/tracer.py wraps ada_lr, finite_sum_lr and storm_original_params here,
+# though no step rule calls them.
+from .schedules import (  # noqa: F401
     ada_beta,
     ada_lr,
     ada_lr_law,
@@ -74,6 +79,7 @@ from .schedules import (  # noqa: F401 - bench/tracer.py wraps ada_lr, finite_su
     finite_sum_lr,
     finite_sum_lr_law,
     stage_length,
+    storm_original_law,
     storm_original_params,
 )
 
@@ -461,6 +467,7 @@ def run_sgd(problem, T, eta0=0.1, decay=0.0, seed=0, x0=None, keep_iterates=Fals
 
 def _storm_original_steps(problem, T, x, root, k, w, c):
     step_rng = root.child("step")
+    law = storm_original_law(k, w, c)
     v = None
     grad_sum = 0.0
 
@@ -469,13 +476,10 @@ def _storm_original_steps(problem, T, x, root, k, w, c):
         sample = problem.draw(step_rng)
         g_new = problem.grad_at(sample, x)
         grad_sum += norm_sq(g_new)
-        eta, beta = storm_original_params(k, w, c, grad_sum)
-        if t == 1:
-            v = g_new
-        else:
-            # c * eta**2 can underflow to 0; the smallest positive beta gives
-            # the same v, since 1 - beta rounds to 1.
-            v = _storm(v, beta or math.ulp(0.0), g_new, problem.grad_at(sample, x_prev))
+        eta, beta = law(grad_sum)
+        # beta = c * eta**2 may underflow to 0, which steps as the smallest
+        # positive beta does: 1 - beta is 1 for both.
+        v = g_new if t == 1 else _storm(v, beta, g_new, problem.grad_at(sample, x_prev))
         return v, norm_sq(v), eta, beta
 
     return step

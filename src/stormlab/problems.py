@@ -4,7 +4,9 @@ An oracle's draw returns the sample itself: a noise array, a component
 index, or a pair of noise arrays. Evaluating one drawn sample at two
 different points is therefore deterministic, which is what the
 recursive-momentum estimators need: the two-point gradient difference
-under a shared sample has no fresh noise in it.
+under a shared sample has no fresh noise in it. The draws read
+`RngStream.normals` and `RngStream.index` directly: a problem's sizes and
+sigma were checked when it was built.
 
 Four families are provided:
 
@@ -25,7 +27,7 @@ import inspect
 
 import numpy as np
 
-from .numerics import REQUIRED, RngStream, Vector, as_vector, checked_fields, gaussian
+from .numerics import REQUIRED, RngStream, Vector, as_vector, checked_fields
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
@@ -65,7 +67,7 @@ class StochasticProblem:
         raise NotImplementedError
 
     def draw(self, rng: RngStream) -> Vector:
-        return gaussian(rng, self.dim, self.sigma)
+        return rng.normals(self.dim, self.sigma)
 
     def grad_at(self, noise, x) -> Vector:
         return self.true_grad(x) + noise
@@ -307,13 +309,11 @@ class CompositionalProblem:
         (inner_dim, dim)), independent halves read in that order as one draw
         of inner_dim * (1 + dim) values."""
         m = self.inner_dim
-        if self.sigma == 0.0:
-            return np.zeros(m), np.zeros((m, self.dim))
         noise = rng.normals(m * (1 + self.dim), self.sigma)
         return noise[:m], noise[m:].reshape(m, self.dim)
 
     def draw_outer(self, rng: RngStream) -> Vector:
-        return gaussian(rng, self.inner_dim, self.sigma)
+        return rng.normals(self.inner_dim, self.sigma)
 
     def inner_value(self, inner, x) -> Vector:
         return self.matrix.dot(x) + self.offset + inner[0]

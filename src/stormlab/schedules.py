@@ -4,11 +4,13 @@ All functions here are pure: the caller owns the running sums and passes
 them in. Each law keeps the step size nonincreasing while its sum grows,
 which is what the trace invariants check.
 
-The two adaptive step-size laws are written once, as `ada_lr_law` and
-`finite_sum_lr_law`: each checks its fixed arguments and computes its
-horizon factors once, then returns the step size as a function of the
-running sum. A run loop builds the law once per stage; `ada_lr` and
-`finite_sum_lr` are the one-call forms.
+Each law with a running sum is written once, as `ada_lr_law`,
+`finite_sum_lr_law` and `storm_original_law`: each checks its fixed
+arguments and computes its constant factors once, then returns its value
+as a function of the running sum. A run loop builds the law once per
+stage; `ada_lr`, `finite_sum_lr` and `storm_original_params` are the
+one-call forms, which check the sum too. Every check is a `numerics.RULES`
+rule.
 """
 
 from __future__ import annotations
@@ -18,11 +20,6 @@ from .numerics import checked
 # Guard for the finite-sum law only: a vanishing gradient-norm sum would
 # otherwise divide by zero on problems that start at a stationary point.
 SUM_SQ_FLOOR = 1e-30
-
-
-def _check_sum_sq(sum_sq):
-    if sum_sq < 0:
-        raise ValueError(f"sum_sq must be nonnegative, got {sum_sq}")
 
 
 def ada_lr_law(horizon: int, alpha: float):
@@ -47,10 +44,8 @@ def ada_lr_law(horizon: int, alpha: float):
 
 
 def ada_lr(horizon: int, alpha: float, sum_sq: float) -> float:
-    """`ada_lr_law(horizon, alpha)` at sum_sq, which must be nonnegative."""
-    lr = ada_lr_law(horizon, alpha)
-    _check_sum_sq(sum_sq)
-    return lr(sum_sq)
+    """`ada_lr_law(horizon, alpha)` at sum_sq, a finite real >= 0."""
+    return ada_lr_law(horizon, alpha)(checked("sum_sq", sum_sq))
 
 
 def ada_beta(horizon: int) -> float:
@@ -91,10 +86,8 @@ def finite_sum_lr_law(n: int, alpha: float):
 
 
 def finite_sum_lr(n: int, alpha: float, sum_sq: float) -> float:
-    """`finite_sum_lr_law(n, alpha)` at sum_sq, which must be nonnegative."""
-    lr = finite_sum_lr_law(n, alpha)
-    _check_sum_sq(sum_sq)
-    return lr(sum_sq)
+    """`finite_sum_lr_law(n, alpha)` at sum_sq, a finite real >= 0."""
+    return finite_sum_lr_law(n, alpha)(checked("sum_sq", sum_sq))
 
 
 def finite_sum_beta(n: int) -> float:
@@ -103,18 +96,23 @@ def finite_sum_beta(n: int) -> float:
     return 1.0 / float(n)
 
 
-def storm_original_params(k: float, w: float, c: float, grad_sum_sq: float) -> tuple[float, float]:
-    """Non-adaptive-exponent baseline schedule.
+def storm_original_law(k: float, w: float, c: float):
+    """The baseline's coupled schedule (eta, beta) as a function of
+    grad_sum_sq, the running sum of squared sampled gradient norms.
 
-    eta = k / (w + grad_sum_sq)**(1/3) driven by the sampled gradient norms,
-    and beta = c * eta**2 clamped to 1. c -> 0 recovers a pure recursive
-    gradient difference; large c forgets history quickly.
+    eta = k / (w + grad_sum_sq)**(1/3) and beta = c * eta**2 clamped to 1.
+    c -> 0 recovers a pure recursive gradient difference; large c forgets
+    history quickly. The function does not check grad_sum_sq.
     """
-    # The rules of `numerics.RULES`, inline: `checked` would cost more than the law.
-    if k <= 0 or w <= 0 or c <= 0:
-        raise ValueError(f"need k > 0, w > 0, c > 0, got k={k}, w={w}, c={c}")
-    if grad_sum_sq < 0:
-        raise ValueError(f"grad_sum_sq must be nonnegative, got {grad_sum_sq}")
-    eta = k / (w + grad_sum_sq) ** (1.0 / 3.0)
-    beta = min(1.0, c * eta * eta)
-    return eta, beta
+    k, w, c = checked("k", k), checked("w", w), checked("c", c)
+
+    def params(grad_sum_sq: float) -> tuple[float, float]:
+        eta = k / (w + grad_sum_sq) ** (1.0 / 3.0)
+        return eta, min(1.0, c * eta * eta)
+
+    return params
+
+
+def storm_original_params(k: float, w: float, c: float, grad_sum_sq: float) -> tuple[float, float]:
+    """`storm_original_law(k, w, c)` at grad_sum_sq, a finite real >= 0."""
+    return storm_original_law(k, w, c)(checked("grad_sum_sq", grad_sum_sq))

@@ -504,6 +504,14 @@ def test_summary_json_round_trip(small_result, tmp_path):
             assert loaded == (result.rows, result.slopes, result.failures), out
 
 
+def test_trace_digest_lines_repeat():
+    # The values move with the BLAS kernel, so only their repetition is pinned.
+    digest = runpy.run_path(os.path.join(os.path.dirname(__file__), "..", "tools",
+                                         "trace_digest.py"))
+    first = digest["runs_digests"](), digest["artifacts_digest"]()
+    assert (digest["runs_digests"](), digest["artifacts_digest"]()) == first
+
+
 def test_summary_json_refuses_non_finite_values(small_result, tmp_path):
     cfg, result = small_result
     rows = [dataclasses.replace(result.rows[0], avg_grad_norm=math.nan)]

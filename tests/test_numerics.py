@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stormlab import numerics
+from stormlab.estimators import storm_init, storm_update
 from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, gaussian, norm_sq
+from stormlab.problems import make_noisy_quadratic
+from stormlab.schedules import ada_lr, finite_sum_lr, storm_original_params
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -129,7 +132,7 @@ def test_mixed_operation_sequence_replays():
 # A run of `count` reads of one kind from a stream. Counts up to 2.5 blocks
 # make runs cross refills; sizes up to 300 cover unbuffered reads too.
 READS = st.one_of(
-    st.tuples(st.just("normals"), st.integers(1, 300), st.sampled_from([1.0, 0.5, 2.5]),
+    st.tuples(st.just("normals"), st.integers(1, 300), st.sampled_from([1.0, 0.5, 2.5, 0.0]),
               st.integers(1, BLOCK * 5 // 2)),
     st.tuples(st.just("index"), st.integers(1, 20_000), st.none(), st.integers(1, BLOCK * 5 // 2)),
     st.tuples(st.just("gaussian"), st.integers(1, 300), st.sampled_from([0.0, 1.5]),
@@ -139,13 +142,12 @@ READS = st.one_of(
 
 
 def _per_step(gen, kind, k, param):
-    """What one read returns without a buffer, straight from the generator."""
-    if kind == "normals":
-        return param * gen.standard_normal(k)
+    """What one read returns without a buffer, straight from the generator;
+    a scale of 0 draws nothing."""
+    if kind in ("normals", "gaussian"):
+        return np.zeros(k) if param == 0.0 else param * gen.standard_normal(k)
     if kind == "index":
         return int(gen.integers(k))
-    if kind == "gaussian":
-        return np.zeros(k) if param == 0.0 else param * gen.standard_normal(k)
     return gen.standard_normal(k)
 
 
@@ -178,8 +180,50 @@ def test_buffers_stay_small_and_zero_sigma_draws_nothing():
     stream = RngStream(3).child("s")
     state = stream.generator.bit_generator.state
     gaussian(stream, 7, 0.0)
+    stream.normals(7, 0.0)
     assert stream.generator.bit_generator.state == state
     stream.normals(MAX_BUFFERED + 1)  # read straight from the generator
     assert stream._buf is None
     stream.normals(MAX_BUFFERED)
     assert stream._buf.size == BLOCK * MAX_BUFFERED
+
+
+@pytest.mark.parametrize("reads_before", [0, 1, BLOCK])
+def test_a_failed_read_leaves_the_stream_where_it_was(reads_before):
+    stream, fresh = RngStream(8).child("s"), RngStream(8).child("s")
+    for _ in range(reads_before):
+        np.testing.assert_array_equal(stream.normals(2), fresh.normals(2))
+    with pytest.raises(TypeError):
+        stream.normals(2.5)
+    with pytest.raises(TypeError):
+        stream.normals(MAX_BUFFERED + 0.5)
+    # a dim of 2.0 passes its rule as 2, so this draw is two values
+    np.testing.assert_array_equal(gaussian(stream, 2.0, 1.0), fresh.normals(2))
+    for k in (2, 3, MAX_BUFFERED + 1):
+        np.testing.assert_array_equal(stream.normals(k), fresh.normals(k))
+    assert stream.index(9) == fresh.index(9)
+    assert stream.generator.bit_generator.state == fresh.generator.bit_generator.state
+
+
+def test_public_forms_refuse_bad_values_in_the_rules_wording():
+    quad = make_noisy_quadratic(dim=2, L=2.0, mu=1.0, sigma=1.0, seed=1)
+    zeros, nan = np.zeros(2), float("nan")
+    refusals = [
+        (lambda: ada_lr(10, 0.3, nan), "sum_sq must be a finite real number, got nan"),
+        (lambda: finite_sum_lr(10, 0.3, nan), "sum_sq must be a finite real number, got nan"),
+        (lambda: storm_original_params(1, 1, 1, nan),
+         "grad_sum_sq must be a finite real number, got nan"),
+        (lambda: storm_original_params(True, 1, 1, 0), "k must be a finite real number, got True"),
+        (lambda: storm_original_params(nan, 1, 1, 0), "k must be a finite real number, got nan"),
+        (lambda: storm_update(zeros, True, zeros, zeros),
+         "beta must be a finite real number, got True"),
+        (lambda: gaussian(RngStream(0), True, 1.0), "dim must be a whole number, got True"),
+        (lambda: gaussian(RngStream(0), 2, nan), "sigma must be a finite real number, got nan"),
+        (lambda: storm_init(quad, zeros, 2.5, RngStream(0)),
+         "batch_size must be a whole number, got 2.5"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+        assert message.split(" must ")[0] in numerics.RULES

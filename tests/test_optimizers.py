@@ -707,14 +707,18 @@ def test_fs_storm_writes_its_table_in_place(monkeypatch):
 
 # The checked public forms the step rules must not call per step.
 CHECKED_ONCE = ("storm_update", "comp_grad_update", "finite_sum_update", "svrg_update",
-                "ada_lr", "finite_sum_lr")
+                "ada_lr", "finite_sum_lr", "storm_original_params")
+
+
+def _every_pair(request):
+    """(name, problem) for every algorithm and each family it accepts."""
+    return [(name, request.getfixturevalue(FAMILY_FIXTURES[family]))
+            for name, (_, families) in sorted(ALGORITHMS.items()) for family in sorted(families)]
 
 
 def test_step_rules_call_only_the_unchecked_cores(monkeypatch, request):
-    pairs = [(name, family) for name, (_, families) in sorted(ALGORITHMS.items())
-             for family in sorted(families)]
-    assert len(pairs) == 15
-    runs = [(name, request.getfixturevalue(FAMILY_FIXTURES[family])) for name, family in pairs]
+    runs = _every_pair(request)
+    assert len(runs) == 15
     before = [run_algorithm(name, problem, BLOCK + 5, seed=6) for name, problem in runs]
 
     def checked_call(*args, **kwargs):
@@ -726,3 +730,57 @@ def test_step_rules_call_only_the_unchecked_cores(monkeypatch, request):
         monkeypatch.setattr(optimizers, attr, checked_call)
     for (name, problem), want in zip(runs, before):
         _assert_records_equal(run_algorithm(name, problem, BLOCK + 5, seed=6), want)
+
+
+def test_draws_do_not_pass_through_gaussian(monkeypatch, request):
+    # A problem's draws read its stream directly: its sizes and sigma were
+    # checked when it was built.
+    from stormlab import numerics, optimizers, problems
+
+    runs = _every_pair(request) + [("ada_storm", request.getfixturevalue("det_quad"))]
+    before = [run_algorithm(name, problem, BLOCK + 5, seed=6) for name, problem in runs]
+
+    def gaussian(*args):
+        raise AssertionError("a draw went through numerics.gaussian")
+
+    for module in (numerics, problems, optimizers):
+        monkeypatch.setattr(module, "gaussian", gaussian, raising=False)
+    for (name, problem), want in zip(runs, before):
+        _assert_records_equal(run_algorithm(name, problem, BLOCK + 5, seed=6), want)
+
+
+# Every problem family, small, for the registry property below.
+PROPERTY_PROBLEMS = {**REGISTRY_PROBLEMS,
+                     "nonconvex_smooth": {"name": "nonconvex_smooth", "dim": 3, "sigma": 0.5,
+                                          "seed": 6}}
+
+
+def _run_or_divergence(name, problem, T, seed, params):
+    try:
+        return run_algorithm(name, problem, T, seed, **params)
+    except DivergenceError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_registry_property_valid_tunables_run_and_rerun(name, data):
+    # Tunables drawn inside their RULES ranges pass check_run; the run then
+    # ends or diverges, never raises anything else, keeps eta nonincreasing
+    # within each stage and reruns bit for bit.
+    family = data.draw(st.sampled_from(sorted(ALGORITHMS[name][1])), label="family")
+    params = {key: data.draw(VALUES[key][0], label=key) for key in tunables(name)}
+    T = data.draw(st.integers(1, 2 * BLOCK + 3), label="T")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    problem = from_spec(PROPERTY_PROBLEMS[family])
+    first = _run_or_divergence(name, problem, T, seed, params)
+    again = _run_or_divergence(name, problem, T, seed, params)
+    if isinstance(first, DivergenceError):
+        assert isinstance(again, DivergenceError)
+        assert str(again) == str(first)
+        return
+    _assert_records_equal(again, first)
+    for t in range(2, T + 1):
+        if name != "ada_storm_doubling" or not stage_length(t)[1]:
+            assert first.eta[t - 1] <= first.eta[t - 2] * (1 + 1e-12), t

@@ -14,11 +14,11 @@ Three digests, one per line:
 * unmeasured - the same 35 runs without the three measured columns (f,
                grad_norm, est_error): everything the algorithms compute,
                which a change to how the trace is measured must not move.
-* artifacts  - every file `write_outputs` writes for the criterion-11
-               config, for a three-algorithm grid whose config sets thin
-               3 (and again 7 and 1000) and for a grid whose real values
-               are written as ints and whole ones as floats, name and
-               bytes, and each grid run's config JSON. summary.json and
+* artifacts  - every file `run_grid(config, out_dir=...)` writes for the
+               criterion-11 config, for a three-algorithm grid whose
+               config sets thin 3 (and again 7 and 1000) and for a grid
+               whose real values are written as ints and whole ones as
+               floats, name and bytes, and each grid run's config JSON. summary.json and
                every run's config echo the checked values: reals as floats,
                whole numbers as ints.
 
@@ -122,8 +122,7 @@ def artifacts_digest(keep=None) -> str:
         for i, doc in enumerate(grids):
             config = harness.parse_config(doc)
             out_dir = os.path.join(tmp if keep is None else keep, str(i))
-            result = harness.run_grid(config)
-            harness.write_outputs(result, config, out_dir)
+            result = harness.run_grid(config, out_dir=out_dir)
             for record in result.records:
                 h.update(json.dumps(record.config).encode())
             for name in sorted(os.listdir(out_dir)):
