@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Vector, checked
+from .numerics import Vector, checked, whole
 
 # The incremental table mean drifts by rounding; re-average this often.
 TABLE_RESYNC_EVERY = 1000
@@ -153,7 +153,13 @@ class GradientTable:
         return self.entries.shape[0]
 
     def write(self, i: int, grad) -> None:
-        """Replace entry i in place and move the mean by (new - old) / n."""
+        """Replace entry i in place and move the mean by (new - old) / n.
+
+        i is read by `numerics.whole` first, so a bool or a fractional index
+        raises ValueError, and one outside [0, n) IndexError, before the
+        table is touched.
+        """
+        i = whole(i, "component index")
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} outside [0, {self.n})")
         grad = np.asarray(grad, dtype=np.float64)

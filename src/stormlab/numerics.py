@@ -76,14 +76,15 @@ def real(value, what) -> float:
 # Every named value's rule, (kind, test, wording), keyed by name: problem
 # fields, algorithm tunables, a run's T and seed, a grid's thin and jobs, the
 # arguments of the step-size laws (their running sums included), the
-# estimators' beta and a warm-up batch size. `checked` applies them.
+# estimators' beta, a warm-up batch size and `grad_check`'s step h.
+# `checked` applies them.
 _ONE_OR_MORE = (whole, lambda v: v >= 1, "be >= 1")
 _POSITIVE = (real, lambda v: v > 0, "be > 0")
 _NONNEGATIVE = (real, lambda v: v >= 0, "be >= 0")
 RULES = {
     **dict.fromkeys(("T", "dim", "n", "inner_dim", "horizon", "period", "thin", "jobs",
                      "batch_size"), _ONE_OR_MORE),
-    **dict.fromkeys(("L", "mu", "eta0", "k", "w", "c"), _POSITIVE),
+    **dict.fromkeys(("L", "mu", "eta0", "k", "w", "c", "h"), _POSITIVE),
     **dict.fromkeys(("sigma", "decay", "sum_sq", "grad_sum_sq"), _NONNEGATIVE),
     # The seeds whose streams differ: PCG64 reads a seed as 64 bits.
     "seed": (whole, lambda v: 0 <= v <= _UINT64_MASK, "lie in [0, 2**64)"),
@@ -212,10 +213,15 @@ class RngStream:
         return out
 
     def index(self, n: int) -> int:
-        """`int(generator.integers(n))`, read from the buffer."""
+        """`int(generator.integers(n))`, read from the buffer.
+
+        n is checked by its `RULES` rule, a whole number >= 1, before a
+        refill, so a refused n leaves the stream where it was and a read
+        from the filled buffer pays nothing for the check.
+        """
         pos = self._pos
         if pos >= self._size or self._kind != "index" or self._param != n:
-            self._refill("index", n, 1)
+            self._refill("index", checked("n", n), 1)
             pos = 0
         self._pos = pos + 1
         return self._buf[pos]

@@ -1,10 +1,12 @@
 """Optimizer runs producing fully deterministic trace records.
 
-Every algorithm runs through one loop (`_run`). An algorithm supplies only
-its set-up and its per-step rule, which returns the gradient estimate v,
-its squared norm, the step size eta and the momentum weight beta. The loop
-derives labeled random streams from the seed, records the trace row AT the
-current iterate, then moves to x - eta * v. Recorded columns:
+Every algorithm runs through one loop (`_run`), from the problem's start
+`problem.x0`, so a run is fixed by its problem, T, seed and tunables, which
+its config echo names. An algorithm supplies only its set-up and its
+per-step rule, which returns the gradient estimate v, its squared norm, the
+step size eta and the momentum weight beta. The loop derives labeled random
+streams from the seed, records the trace row AT the current iterate, then
+moves to x - eta * v. Recorded columns:
 
     t, f, grad_norm, v_norm_sq, eta, beta, est_error
 
@@ -68,7 +70,7 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     svrg_update,
     take_snapshot,
 )
-from .numerics import BLOCK, RngStream, as_vector, checked, checked_fields, norm_sq
+from .numerics import BLOCK, RngStream, checked, checked_fields, norm_sq
 # bench/tracer.py wraps ada_lr, finite_sum_lr and storm_original_params here,
 # though no step rule calls them.
 from .schedules import (  # noqa: F401
@@ -137,7 +139,7 @@ def warmup_batch_size(horizon: int) -> int:
 
 
 # Runner arguments that are not tunables of the algorithm.
-_RUN_ARGS = {"problem", "T", "seed", "x0", "keep_iterates"}
+_RUN_ARGS = {"problem", "T", "seed", "keep_iterates"}
 
 def _registered(name: str):
     """ALGORITHMS[name]; an unknown name, or one that is no string, raises
@@ -176,14 +178,15 @@ def check_run(name: str, spec: dict, params: dict) -> dict:
     return checked_fields(params, fields, f"algorithm '{name}'", prefix=f"{name}: ")
 
 
-def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecord:
+def _run(name, problem, T, seed, keep_iterates, steps, **params) -> RunRecord:
     """The one run loop behind every runner.
 
-    `steps(problem, T, x0, root, **params)` sets the algorithm up at the
-    starting point and returns its rule `step(t, x, x_prev) -> (v, |v|^2,
-    eta, beta)`. The loop owns the rest: the entry checks, the tau draw, the
-    trace row at x, the block measurement, the move, the stop on a
-    non-finite value and the config echo.
+    Every run starts at `problem.x0`. `steps(problem, T, x, root, **params)`
+    sets the algorithm up at that start x and returns its rule
+    `step(t, x, x_prev) -> (v, |v|^2, eta, beta)`. The loop owns the rest:
+    the entry checks, the tau draw, the trace row at x, the block
+    measurement, the move, the stop on a non-finite value and the config
+    echo.
 
     A non-finite f is found when its block is measured. When step t fails
     first, the block's pending rows up to t are measured before the failure
@@ -192,9 +195,7 @@ def _run(name, problem, T, seed, x0, keep_iterates, steps, **params) -> RunRecor
     """
     params = check_run(name, problem.spec, params)
     T, seed = checked("T", T), checked("seed", seed)
-    x = problem.x0.copy() if x0 is None else as_vector(x0)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {x.shape}, problem dim is {problem.dim}")
+    x = problem.x0.copy()
     root = RngStream(seed)
     tau = int(root.child("tau").generator.integers(1, T + 1))
     step = steps(problem, T, x, root, **params)
@@ -293,7 +294,7 @@ def _ada_storm_steps(problem, T, x, root, alpha, doubling=False):
     return step
 
 
-def run_ada_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -> RunRecord:
+def run_ada_storm(problem, T, alpha=0.3, seed=0, keep_iterates=False) -> RunRecord:
     """Recursive-momentum run with the horizon-aware adaptive step size.
 
     The estimate starts from a warm-up batch of ceil(T**(1/3)) samples;
@@ -302,10 +303,10 @@ def run_ada_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -
     running sum of squared estimate norms (current step included). This is
     the doubling variant with a single stage of length T.
     """
-    return _run("ada_storm", problem, T, seed, x0, keep_iterates, _ada_storm_steps, alpha=alpha)
+    return _run("ada_storm", problem, T, seed, keep_iterates, _ada_storm_steps, alpha=alpha)
 
 
-def run_ada_storm_doubling(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -> RunRecord:
+def run_ada_storm_doubling(problem, T, alpha=0.3, seed=0, keep_iterates=False) -> RunRecord:
     """Horizon-free variant: restart the schedule on dyadic stages.
 
     Steps are grouped into stages [2^k, 2^(k+1)); each stage runs the
@@ -314,7 +315,7 @@ def run_ada_storm_doubling(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates
     a warm-up batch of ceil(stage**(1/3)) fresh samples.
     """
     steps = functools.partial(_ada_storm_steps, doubling=True)
-    return _run("ada_storm_doubling", problem, T, seed, x0, keep_iterates, steps, alpha=alpha)
+    return _run("ada_storm_doubling", problem, T, seed, keep_iterates, steps, alpha=alpha)
 
 
 def _comp_storm_steps(problem, T, x, root, alpha):
@@ -356,7 +357,7 @@ def _comp_storm_steps(problem, T, x, root, alpha):
     return step
 
 
-def run_comp_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -> RunRecord:
+def run_comp_storm(problem, T, alpha=0.3, seed=0, keep_iterates=False) -> RunRecord:
     """Two-level composition run tracking inner values and the gradient.
 
     Per step one inner sample serves both map evaluations and both
@@ -365,7 +366,7 @@ def run_comp_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) 
     ceil(T**(1/3)) paired samples: the inner estimate over all inner values
     first, then the gradient over the per-sample Jacobian/outer products.
     """
-    return _run("comp_storm", problem, T, seed, x0, keep_iterates, _comp_storm_steps, alpha=alpha)
+    return _run("comp_storm", problem, T, seed, keep_iterates, _comp_storm_steps, alpha=alpha)
 
 
 def _fs_storm_steps(problem, T, x, root, alpha):
@@ -393,7 +394,7 @@ def _fs_storm_steps(problem, T, x, root, alpha):
     return step
 
 
-def run_fs_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) -> RunRecord:
+def run_fs_storm(problem, T, alpha=0.3, seed=0, keep_iterates=False) -> RunRecord:
     """Finite-sum run with a component-gradient memory table.
 
     The first step is a full pass: it fills the table and sets the estimate
@@ -401,7 +402,7 @@ def run_fs_storm(problem, T, alpha=0.3, seed=0, x0=None, keep_iterates=False) ->
     uniformly, applies the two-point recursion with the table correction,
     and overwrites that component's entry. beta = 1/n throughout.
     """
-    return _run("fs_storm", problem, T, seed, x0, keep_iterates, _fs_storm_steps, alpha=alpha)
+    return _run("fs_storm", problem, T, seed, keep_iterates, _fs_storm_steps, alpha=alpha)
 
 
 def _fs_storm_svrg_steps(problem, T, x, root, alpha, period):
@@ -432,9 +433,7 @@ def _fs_storm_svrg_steps(problem, T, x, root, alpha, period):
     return step
 
 
-def run_fs_storm_svrg(
-    problem, T, alpha=0.3, seed=0, period=None, x0=None, keep_iterates=False
-) -> RunRecord:
+def run_fs_storm_svrg(problem, T, alpha=0.3, seed=0, period=None, keep_iterates=False) -> RunRecord:
     """Finite-sum run anchored to a periodically refreshed full gradient.
 
     Instead of a per-component table, the correction compares the sampled
@@ -442,7 +441,7 @@ def run_fs_storm_svrg(
     gradient; the snapshot is refreshed every `period` steps (default n).
     eta follows the adaptive finite-sum law.
     """
-    return _run("fs_storm_svrg", problem, T, seed, x0, keep_iterates, _fs_storm_svrg_steps,
+    return _run("fs_storm_svrg", problem, T, seed, keep_iterates, _fs_storm_svrg_steps,
                 alpha=alpha, period=period)
 
 
@@ -456,13 +455,13 @@ def _sgd_steps(problem, T, x, root, eta0, decay):
     return step
 
 
-def run_sgd(problem, T, eta0=0.1, decay=0.0, seed=0, x0=None, keep_iterates=False) -> RunRecord:
+def run_sgd(problem, T, eta0=0.1, decay=0.0, seed=0, keep_iterates=False) -> RunRecord:
     """Plain stochastic gradient baseline with eta_t = eta0 / sqrt(1 + decay*t).
 
     The trace's v columns describe the raw sampled gradient, so est_error
     measures single-sample noise. The beta column is 0: no momentum.
     """
-    return _run("sgd", problem, T, seed, x0, keep_iterates, _sgd_steps, eta0=eta0, decay=decay)
+    return _run("sgd", problem, T, seed, keep_iterates, _sgd_steps, eta0=eta0, decay=decay)
 
 
 def _storm_original_steps(problem, T, x, root, k, w, c):
@@ -485,19 +484,15 @@ def _storm_original_steps(problem, T, x, root, k, w, c):
     return step
 
 
-def run_storm_original(
-    problem, T, k=0.1, w=1.0, c=10.0, seed=0, x0=None, keep_iterates=False
-) -> RunRecord:
+def run_storm_original(problem, T, k=0.1, w=1.0, c=10.0, seed=0, keep_iterates=False) -> RunRecord:
     """Baseline recursive-momentum run with the coupled eta/beta schedule.
 
     eta_t = k / (w + sum of squared SAMPLED gradient norms)**(1/3) and
     beta_t = c * eta_t**2, so the momentum weight follows the step size
     instead of the horizon. The first step uses the raw sample.
     """
-    return _run(
-        "storm_original", problem, T, seed, x0, keep_iterates, _storm_original_steps,
-        k=k, w=w, c=c,
-    )
+    return _run("storm_original", problem, T, seed, keep_iterates, _storm_original_steps,
+                k=k, w=w, c=c)
 
 
 # Families served by a sampled-gradient oracle (`draw`/`grad_at`).

@@ -17,6 +17,12 @@ Four families are provided:
                          noise on inner values, inner Jacobians, and outer
                          gradients
 
+Each family's constructor takes exactly its spec fields and draws its data
+from the stream `RngStream(seed).child(<family>).child("data")`. Everything
+else one `_own_spec` call sets: the checked `spec`, `dim`, `sigma` and the
+start `x0`, drawn from the family's `child("x0")` stream. Every run starts
+at its problem's `x0`, so a run's spec, T, seed and tunables fix its trace.
+
 All gradients are exact (no autodiff); `grad_check` verifies them against
 central finite differences.
 """
@@ -27,7 +33,7 @@ import inspect
 
 import numpy as np
 
-from .numerics import REQUIRED, RngStream, Vector, as_vector, checked_fields
+from .numerics import REQUIRED, RngStream, Vector, as_vector, checked, checked_fields
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
@@ -82,9 +88,7 @@ class NoisyQuadratic(StochasticProblem):
     """
 
     def __init__(self, dim, L, mu, sigma, seed):
-        dim, L, mu, sigma, seed = _own_spec(self, locals())
-        root = RngStream(seed).child("noisy_quadratic")
-        gen = root.child("data").generator
+        dim, L, mu, _, _, gen = _own_spec(self, locals())
         # Rotate an evenly spaced spectrum by a seeded orthogonal matrix.
         lam = np.linspace(mu, L, dim)
         q, r = np.linalg.qr(gen.standard_normal((dim, dim)))
@@ -92,10 +96,7 @@ class NoisyQuadratic(StochasticProblem):
         self.A = (q * lam) @ q.T
         self.A = 0.5 * (self.A + self.A.T)  # symmetrize against rounding
         self.b = gen.standard_normal(dim)
-        self.dim = dim
         self.L = L
-        self.sigma = sigma
-        self.x0 = root.child("x0").generator.standard_normal(dim)
         self.x_star = np.linalg.solve(self.A, -self.b)
 
     def objective(self, x) -> float:
@@ -119,14 +120,10 @@ class NonconvexSmooth(StochasticProblem):
     """
 
     def __init__(self, dim, sigma, seed):
-        dim, sigma, seed = _own_spec(self, locals())
-        root = RngStream(seed).child("nonconvex_smooth")
-        self.coeffs = root.child("data").generator.uniform(0.5, 1.5, dim)
+        dim, _, _, gen = _own_spec(self, locals())
+        self.coeffs = gen.uniform(0.5, 1.5, dim)
         self.epsilon = EPSILON
-        self.dim = dim
-        self.sigma = sigma
         self.L = float(2.0 * self.coeffs.max() + self.epsilon)
-        self.x0 = root.child("x0").generator.standard_normal(dim)
 
     def objective(self, x) -> float:
         x = np.asarray(x)
@@ -159,9 +156,7 @@ class FiniteSumProblem(StochasticProblem):
     """
 
     def __init__(self, n, dim, seed):
-        n, dim, seed = _own_spec(self, locals())
-        root = RngStream(seed).child("finite_sum")
-        gen = root.child("data").generator
+        n, dim, _, gen = _own_spec(self, locals())
         self.features = gen.standard_normal((n, dim)) / np.sqrt(dim)
         x_true = gen.standard_normal(dim)
         targets = self.features @ x_true + 0.1 * gen.standard_normal(n)
@@ -172,11 +167,8 @@ class FiniteSumProblem(StochasticProblem):
             targets[idx] += 10.0 * gen.standard_normal(n_out)
         self.targets = targets
         self.n = n
-        self.dim = dim
-        self.sigma = None  # component sampling, no fixed additive noise level
         row_sq = np.sum(self.features * self.features, axis=1)
         self.L = float(2.0 * row_sq.max())  # |l''| <= 2
-        self.x0 = root.child("x0").generator.standard_normal(dim)
         self._measured = {}  # (shape, dtype, bytes) of a block -> its (f, G)
         self._measured_bytes = 0
 
@@ -277,17 +269,12 @@ class CompositionalProblem:
     """
 
     def __init__(self, dim, inner_dim, sigma, seed):
-        dim, inner_dim, sigma, seed = _own_spec(self, locals())
-        root = RngStream(seed).child("compositional")
-        gen = root.child("data").generator
+        dim, inner_dim, _, _, gen = _own_spec(self, locals())
         self.matrix = gen.standard_normal((inner_dim, dim)) / np.sqrt(dim)
         self.offset = gen.standard_normal(inner_dim)
-        self.dim = dim
         self.inner_dim = inner_dim
-        self.sigma = sigma
         top_sv = float(np.linalg.norm(self.matrix, 2))
         self.L = top_sv * top_sv  # smoothness of the exact composition
-        self.x0 = root.child("x0").generator.standard_normal(dim)
 
     def inner_true(self, x) -> Vector:
         return self.matrix @ x + self.offset
@@ -379,13 +366,18 @@ def check_spec(spec: dict) -> dict:
 
 
 def _own_spec(problem, args) -> list:
-    """Check a family constructor's arguments (its `locals()` on entry) by
-    `check_spec`, set `problem.spec` to the checked fields and return their
-    values in the constructor's order."""
+    """The one set-up of every family: check the constructor's arguments (its
+    `locals()` on entry) by `check_spec`, set `problem.spec`, `dim`, `sigma`
+    (None for the finite sum, which samples components instead) and the
+    start `x0` from the family's `child("x0")` stream, and return the checked
+    values in the constructor's order, then its `child("data")` generator."""
     fields = {key: value for key, value in args.items() if key != "self"}
     name = next(name for name, cls in FAMILIES.items() if isinstance(problem, cls))
-    problem.spec = check_spec({"name": name, **fields})
-    return [problem.spec[key] for key in fields]
+    spec = problem.spec = check_spec({"name": name, **fields})
+    problem.dim, problem.sigma = spec["dim"], spec.get("sigma")
+    root = RngStream(spec["seed"]).child(name)
+    problem.x0 = root.child("x0").generator.standard_normal(problem.dim)
+    return [spec[key] for key in fields] + [root.child("data").generator]
 
 
 def from_spec(spec: dict):
@@ -401,10 +393,10 @@ def grad_check(problem, x, h=1e-5) -> float:
 
     Coordinates where the exact gradient is below 1e-12 in magnitude are
     compared absolutely instead of relatively, so exact zeros do not
-    produce spurious blowups.
+    produce spurious blowups. The step h is checked by its `numerics.RULES`
+    rule, a finite real > 0.
     """
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
+    h = checked("h", h)
     x = as_vector(x)
     g = problem.true_grad(x)
     worst = 0.0

@@ -226,6 +226,23 @@ def test_table_rejects_bad_index_and_shape():
         table.updated(4, np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
         table.updated(0, np.zeros(3))
+    # a bool is no mask and a fraction no index: both are refused before
+    # the table is touched, by the in-place and the pure form alike
+    fs = make_finite_sum(n=5, dim=3, seed=2)
+    table = GradientTable.from_full_pass(fs, fs.x0)
+    before, mean_before = table.entries.copy(), table.mean.copy()
+    for bad in (True, False, 2.5):
+        for call in (table.write, table.updated):
+            with pytest.raises(ValueError, match=f"index must be a whole number, got {bad}"):
+                call(bad, np.zeros(3))
+    for bad in (5, -1, 5.0):
+        with pytest.raises(IndexError):
+            table.write(bad, np.zeros(3))
+    np.testing.assert_array_equal(table.entries, before)
+    np.testing.assert_array_equal(table.mean, mean_before)
+    assert table.updates_since_sync == 0
+    table.write(2.0, np.ones(3))  # a whole float is the index it names
+    np.testing.assert_array_equal(table.entries[2], np.ones(3))
 
 
 # --- finite-sum recursion ----------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from stormlab import numerics
 from stormlab.estimators import storm_init, storm_update
 from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, gaussian, norm_sq
-from stormlab.problems import make_noisy_quadratic
+from stormlab.problems import grad_check, make_noisy_quadratic
 from stormlab.schedules import ada_lr, finite_sum_lr, storm_original_params
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -188,6 +190,11 @@ def test_buffers_stay_small_and_zero_sigma_draws_nothing():
     assert stream._buf.size == BLOCK * MAX_BUFFERED
 
 
+# Index bounds `RngStream.index` refuses, with the end of each refusal's wording.
+INDEX_REFUSALS = [(2.5, "be a whole number, got 2.5"), (True, "be a whole number, got True"),
+                  (0, "be >= 1, got 0")]
+
+
 @pytest.mark.parametrize("reads_before", [0, 1, BLOCK])
 def test_a_failed_read_leaves_the_stream_where_it_was(reads_before):
     stream, fresh = RngStream(8).child("s"), RngStream(8).child("s")
@@ -202,6 +209,13 @@ def test_a_failed_read_leaves_the_stream_where_it_was(reads_before):
     for k in (2, 3, MAX_BUFFERED + 1):
         np.testing.assert_array_equal(stream.normals(k), fresh.normals(k))
     assert stream.index(9) == fresh.index(9)
+    for bad, _ in INDEX_REFUSALS:
+        with pytest.raises(ValueError):
+            stream.index(bad)
+    assert [stream.index(9) for _ in range(BLOCK)] == [fresh.index(9) for _ in range(BLOCK)]
+    for bad, _ in INDEX_REFUSALS:
+        with pytest.raises(ValueError):
+            stream.index(bad)
     assert stream.generator.bit_generator.state == fresh.generator.bit_generator.state
 
 
@@ -221,7 +235,18 @@ def test_public_forms_refuse_bad_values_in_the_rules_wording():
         (lambda: gaussian(RngStream(0), 2, nan), "sigma must be a finite real number, got nan"),
         (lambda: storm_init(quad, zeros, 2.5, RngStream(0)),
          "batch_size must be a whole number, got 2.5"),
+        (lambda: grad_check(quad, zeros, h=nan), "h must be a finite real number, got nan"),
+        (lambda: grad_check(quad, zeros, h=math.inf), "h must be a finite real number, got inf"),
+        (lambda: grad_check(quad, zeros, h=True), "h must be a finite real number, got True"),
+        (lambda: grad_check(quad, zeros, h=0.0), "h must be > 0, got 0.0"),
     ]
+    # a stream's index bound, on a fresh stream and after index(9) reads
+    for reads_before in (0, 1, BLOCK):
+        for bad, wording in INDEX_REFUSALS:
+            stream = RngStream(0).child("s")
+            for _ in range(reads_before):
+                stream.index(9)
+            refusals.append((lambda s=stream, n=bad: s.index(n), f"n must {wording}"))
     for call, message in refusals:
         with pytest.raises(ValueError) as info:
             call()

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stormlab.estimators import GradientTable
-from stormlab.harness import parse_config, run_grid, write_trace_csv
+from stormlab.harness import CHECK_PROBLEMS, parse_config, run_grid, write_trace_csv
 from stormlab.optimizers import (
     ALGORITHMS,
     BLOCK,
@@ -182,10 +183,14 @@ def test_ada_storm_noiseless_fixed_point(det_quad):
     assert float(rec.est_error.max()) <= 1e-12
 
 
-def test_ada_storm_stationary_start_stays_put(det_quad):
+def test_ada_storm_stationary_start_stays_put():
     # T large enough that the capped step size contracts every mode (cap < 2/L),
-    # so the tiny linear-solve residual in x_star cannot be amplified
-    rec = run_ada_storm(det_quad, 1000, seed=0, x0=det_quad.x_star, keep_iterates=True)
+    # so the tiny linear-solve residual in x_star cannot be amplified. The
+    # problem is built here: a start set on a shared fixture would move the
+    # runs of every later test that uses it.
+    det_quad = make_noisy_quadratic(dim=5, L=10.0, mu=1.0, sigma=0.0, seed=32)
+    det_quad.x0 = det_quad.x_star.copy()
+    rec = run_ada_storm(det_quad, 1000, seed=0, keep_iterates=True)
     assert float(np.abs(rec.iterates - det_quad.x_star).max()) <= 1e-10
     assert float(rec.grad_norm.max()) <= 1e-10
 
@@ -232,12 +237,6 @@ def test_ada_storm_tau_stream_is_isolated(quad):
         long = run(problem, 2 * BLOCK + 36, seed=9, **params)
         np.testing.assert_array_equal(short.f, long.f[: BLOCK + 6])
         np.testing.assert_array_equal(short.est_error, long.est_error[: BLOCK + 6])
-
-
-def test_ada_storm_x0_override(quad):
-    start = np.zeros(quad.dim)
-    rec = run_ada_storm(quad, 10, seed=1, x0=start, keep_iterates=True)
-    np.testing.assert_array_equal(rec.iterates[0], start)
 
 
 def test_run_rejects_bad_T(quad):
@@ -513,8 +512,6 @@ def test_registry_covers_every_tunable():
 
 
 def test_signatures_are_read_once_at_import(monkeypatch, fsum):
-    import inspect
-
     def unread(*args, **kwargs):
         raise AssertionError("a signature was read after import")
 
@@ -640,6 +637,44 @@ def test_fs_storm_svrg_echoes_default_period_n(fsum):
     assert run_fs_storm_svrg(fsum, 5).config["algorithm"]["period"] == fsum.n
 
 
+# A non-default value of every algorithm's tunables, so the echo must carry them.
+NON_DEFAULT = {
+    "ada_storm": {"alpha": 0.25},
+    "ada_storm_doubling": {"alpha": 0.2},
+    "comp_storm": {"alpha": 0.25},
+    "fs_storm": {"alpha": 0.2},
+    "fs_storm_svrg": {"alpha": 0.25, "period": 7},
+    "sgd": {"eta0": 0.05, "decay": 0.1},
+    "storm_original": {"k": 0.2, "w": 2.0, "c": 5.0},
+}
+
+
+@pytest.mark.parametrize("T", [1, BLOCK + 1])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_a_run_regenerates_from_its_config_echo(name, T):
+    runner, families = ALGORITHMS[name]
+    for spec in CHECK_PROBLEMS:
+        if spec["name"] not in families:
+            continue
+        rec = runner(from_spec(spec), T, seed=6, **NON_DEFAULT[name])
+        algorithm = dict(rec.config["algorithm"])
+        again = run_algorithm(algorithm.pop("name"), from_spec(rec.config["problem"]),
+                              rec.config["T"], rec.config["seed"], **algorithm)
+        _assert_records_equal(rec, again)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_runners_take_no_start_of_their_own(name, request):
+    runner, families = ALGORITHMS[name]
+    problem = request.getfixturevalue(FAMILY_FIXTURES[min(families)])
+    assert set(inspect.signature(runner).parameters) == {
+        "problem", "T", *tunables(name), "seed", "keep_iterates"}
+    for call in (lambda: runner(problem, 10, x0=problem.x0),
+                 lambda: run_algorithm(name, problem, 10, 1, x0=problem.x0)):
+        with pytest.raises(TypeError, match="x0"):
+            call()
+
+
 @pytest.mark.parametrize("name,key,value", [
     ("sgd", "eta0", True), ("sgd", "decay", False), ("fs_storm_svrg", "period", True),
     ("storm_original", "w", True),
@@ -682,9 +717,10 @@ def test_diverging_run_stops_with_divergence_error():
     flat = make_noisy_quadratic(dim=20, L=0.1, mu=0.05, sigma=1.0, seed=11)
     # |x|^2 = inf makes f infinite while v stays finite for the whole run
     noncvx = make_nonconvex_smooth(dim=6, sigma=0.5, seed=3)
+    noncvx.x0 = np.full(6, 5e154)
     cases = [((quad6, T), {"eta0": 5.0}, 93) for T in (500, 1000, 2000)] + [
         ((flat, 300), {"eta0": 100.0}, 162),
-        ((noncvx, 100), {"eta0": 0.1, "x0": np.full(6, 5e154)}, 1),
+        ((noncvx, 100), {"eta0": 0.1}, 1),
     ]
     for args, params, t in cases:
         with pytest.raises(DivergenceError) as info:
