@@ -41,7 +41,7 @@ from .harness import (
     write_outputs,
     write_trace_csv,
 )
-from .numerics import RngStream, as_vector, gaussian, norm_sq
+from .numerics import RngStream, as_vector, norm_sq
 from .optimizers import (
     ALGORITHMS,
     DivergenceError,

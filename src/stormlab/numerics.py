@@ -127,12 +127,6 @@ def checked_fields(given, fields, where, prefix=None) -> dict:
     return {key: checked(key, value, prefix) for key, value in out.items()}
 
 
-def gaussian(rng: "RngStream", dim: int, sigma: float) -> Vector:
-    """Draw an i.i.d. N(0, sigma^2) vector of length dim: `rng.normals` once
-    dim and sigma pass their `RULES`."""
-    return rng.normals(checked("dim", dim), checked("sigma", sigma))
-
-
 def _label_entropy(label) -> int:
     # Stable across platforms and sessions; never use the builtin hash() here.
     if isinstance(label, (int, np.integer)):
@@ -217,10 +211,13 @@ class RngStream:
 
         n is checked by its `RULES` rule, a whole number >= 1, before a
         refill, so a refused n leaves the stream where it was and a read
-        from the filled buffer pays nothing for the check.
+        from the filled buffer pays nothing for the check. The buffer serves
+        only the very n object it was filled for: an equal n of another
+        object, such as True after index(1), goes through the check (and an
+        accepted one through a refill, which reads the same values).
         """
         pos = self._pos
-        if pos >= self._size or self._kind != "index" or self._param != n:
+        if pos >= self._size or self._kind != "index" or self._param is not n:
             self._refill("index", checked("n", n), 1)
             pos = 0
         self._pos = pos + 1

@@ -23,6 +23,17 @@ else one `_own_spec` call sets: the checked `spec`, `dim`, `sigma` and the
 start `x0`, drawn from the family's `child("x0")` stream. Every run starts
 at its problem's `x0`, so a run's spec, T, seed and tunables fix its trace.
 
+Each family writes its exact math once, as the block form
+`value_and_grad(X)` that a run's measured columns come from. The one-point
+`objective(x)` and `true_grad(x)` of the base class `Problem` read row 0 of
+`value_and_grad(x[None])`. Only the one-point forms a step calls have a
+body of their own, because a (1, dim) block per step would cost the step
+more and change its bits: `true_grad` of the quadratic and nonconvex
+families (their oracle `grad_at`), the finite sum's `component_grad` and
+its `full_grad`, the anchored variant's counted full pass. The finite sum
+remembers only measured blocks of BLOCK rows, the one shape a run
+measures, so one-point reads never fill that memory.
+
 All gradients are exact (no autodiff); `grad_check` verifies them against
 central finite differences.
 """
@@ -33,7 +44,7 @@ import inspect
 
 import numpy as np
 
-from .numerics import REQUIRED, RngStream, Vector, as_vector, checked, checked_fields
+from .numerics import BLOCK, REQUIRED, RngStream, Vector, as_vector, checked, checked_fields
 
 _REL_ERR_FLOOR = 1e-12  # below this, grad_check falls back to absolute error
 OUTLIER_FRAC = 0.1  # share of finite-sum targets that are grossly corrupted
@@ -43,34 +54,37 @@ EPSILON = 1e-2  # weight of the nonconvex family's quadratic term
 # needs a (rows, n) array.
 MEASURE_CHUNK_DOUBLES = 16_384
 
-class StochasticProblem:
-    """Smooth objective with an unbiased sampled-gradient oracle.
 
-    Subclasses fill in `objective` and `true_grad` at one point and
-    `value_and_grad` on a block of points; the shared oracle adds the drawn
-    noise on top of the exact gradient, so one draw evaluated at two points
-    differs only through the exact gradients.
+class Problem:
+    """A smooth objective whose exact math is written once, as the block form.
+
+    Each family defines `value_and_grad(X)`: f (B,) and the exact gradients
+    (B, dim) at the rows of X (B, dim), where each row's result depends only
+    on that row, its position in X and the shape of X, never on the other
+    rows. The one-point `objective` and `true_grad` read row 0 of the block
+    `x[None]`; a family overrides `true_grad` only where a step calls it.
     """
 
     dim: int
-    sigma: float
+    sigma: float | None  # None for the finite sum, which samples components
     L: float
     x0: Vector
     spec: dict
 
     def objective(self, x) -> float:
-        raise NotImplementedError
+        return float(self.value_and_grad(x[None])[0][0])
 
     def true_grad(self, x) -> Vector:
-        raise NotImplementedError
+        return self.value_and_grad(x[None])[1][0]
 
-    def value_and_grad(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """f (B,) and the exact gradients (B, dim) at the rows of X (B, dim).
 
-        Each row's result depends only on that row, its position in X and
-        the shape of X, never on the other rows.
-        """
-        raise NotImplementedError
+class StochasticProblem(Problem):
+    """Smooth objective with an unbiased sampled-gradient oracle.
+
+    The shared oracle adds the drawn noise on top of the exact gradient, so
+    one draw evaluated at two points differs only through the exact
+    gradients.
+    """
 
     def draw(self, rng: RngStream) -> Vector:
         return rng.normals(self.dim, self.sigma)
@@ -99,10 +113,8 @@ class NoisyQuadratic(StochasticProblem):
         self.L = L
         self.x_star = np.linalg.solve(self.A, -self.b)
 
-    def objective(self, x) -> float:
-        return 0.5 * float(x @ (self.A @ x)) + float(self.b @ x)
-
     def true_grad(self, x) -> Vector:
+        # The per-step oracle's one-point form: one GEMV, no (1, dim) block.
         return self.A.dot(x) + self.b
 
     def value_and_grad(self, X):
@@ -125,12 +137,9 @@ class NonconvexSmooth(StochasticProblem):
         self.epsilon = EPSILON
         self.L = float(2.0 * self.coeffs.max() + self.epsilon)
 
-    def objective(self, x) -> float:
-        x = np.asarray(x)
-        return float(self.coeffs @ np.log1p(x * x)) + 0.5 * self.epsilon * float(x @ x)
-
     def true_grad(self, x) -> Vector:
-        # 2 c x / (1 + x^2) + epsilon x, evaluated in place in that order.
+        # The per-step oracle's one-point form: 2 c x / (1 + x^2) + epsilon x,
+        # evaluated in place in that order.
         x = np.asarray(x, dtype=np.float64)
         q = x * x
         q += 1.0
@@ -173,26 +182,13 @@ class FiniteSumProblem(StochasticProblem):
         self._measured_bytes = 0
 
     @staticmethod
-    def _loss(r):
-        return r * r / (1.0 + r * r)
-
-    @staticmethod
     def _dloss(r):
         q = 1.0 + r * r
         return 2.0 * r / (q * q)
 
-    def _mean_loss(self, r) -> float:
-        # The bits of np.mean, without its Python-level overhead per call.
-        return float(np.add.reduce(self._loss(r))) / self.n
-
-    def objective(self, x) -> float:
-        return self._mean_loss(self.features @ x - self.targets)
-
-    def true_grad(self, x) -> Vector:
-        return self.full_grad(x)
-
     def full_grad(self, x) -> Vector:
-        """Exact mean of all component gradients."""
+        """Exact mean of all component gradients: the anchored variant's
+        counted full pass, whose bits feed its iterates."""
         r = self.features @ x - self.targets
         return self.features.T @ self._dloss(r) / self.n
 
@@ -201,8 +197,10 @@ class FiniteSumProblem(StochasticProblem):
         read-only, remembered by X's shape, dtype and exact bytes.
 
         A horizon-free run is a bit-exact prefix of a longer one, so a
-        horizon grid measures the same blocks again. A result is kept only
-        while the kept keys and results together fit in `features.nbytes`:
+        horizon grid measures the same blocks again. Only blocks of BLOCK
+        rows, the one shape a run measures, are kept, so one-point reads
+        (`objective`, `true_grad`) never fill the memory. A result is kept
+        only while the kept keys and results together fit in `features.nbytes`:
         at n = 20 000, dim 20 that is about 150 blocks of 64 rows, and at
         n = 100 no block fits. Only this measurement is remembered; the
         oracles and `full_grad` compute on every call, so what a run counts
@@ -215,7 +213,7 @@ class FiniteSumProblem(StochasticProblem):
         f, G = self._measure(X)
         f.flags.writeable = G.flags.writeable = False
         size = len(key[2]) + f.nbytes + G.nbytes
-        if self._measured_bytes + size <= self.features.nbytes:
+        if len(X) == BLOCK and self._measured_bytes + size <= self.features.nbytes:
             self._measured[key] = f, G
             self._measured_bytes += size
         return f, G
@@ -259,7 +257,7 @@ class FiniteSumProblem(StochasticProblem):
         return self.component_grad(i, x)
 
 
-class CompositionalProblem:
+class CompositionalProblem(Problem):
     """F(x) = f(g(x)) with g(x) = Mx + c and f(u) = ||u||^2 / 2.
 
     M and c are drawn from the seed. Inner samples carry additive noise on
@@ -275,16 +273,6 @@ class CompositionalProblem:
         self.inner_dim = inner_dim
         top_sv = float(np.linalg.norm(self.matrix, 2))
         self.L = top_sv * top_sv  # smoothness of the exact composition
-
-    def inner_true(self, x) -> Vector:
-        return self.matrix @ x + self.offset
-
-    def objective(self, x) -> float:
-        u = self.inner_true(x)
-        return 0.5 * float(u @ u)
-
-    def true_grad(self, x) -> Vector:
-        return self.matrix.T @ self.inner_true(x)
 
     def value_and_grad(self, X):
         """f (B,) and the exact gradients (B, dim) at the rows of X (B, dim)."""

@@ -29,9 +29,12 @@ for spec in harness.CHECK_PROBLEMS:
         "algorithms": [{"name": name} for name in names],
         "grid": {"T": [16, 32, 64], "seeds": [1, 2]},
     })
+    before = tracer.snapshot()
     result = harness.run_grid(config)
     assert result.ok, result.failures
     assert len(result.rows) == 3 * len(names), spec
+    # every family's measurement stays where the tracer wraps it
+    assert tracer.since(before)[0].get("problems.value_and_grad", [0])[0] > 0, spec
     print(spec["name"], *names)
 stats, _ = tracer.snapshot()
 for name in ("harness.parse_config", "harness.run_grid", "harness.cell",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stormlab import numerics
 from stormlab.estimators import storm_init, storm_update
-from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, gaussian, norm_sq
+from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, norm_sq
 from stormlab.problems import grad_check, make_noisy_quadratic
 from stormlab.schedules import ada_lr, finite_sum_lr, storm_original_params
 
@@ -43,39 +43,14 @@ def test_as_vector_rejects_matrices_and_nonfinite():
         as_vector([1.0, float("nan")])
 
 
-def test_gaussian_is_deterministic_per_stream():
-    a = gaussian(RngStream(7).child("noise"), 16, 2.0)
-    b = gaussian(RngStream(7).child("noise"), 16, 2.0)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_gaussian_sigma_zero_is_exact_zero():
-    v = gaussian(RngStream(7).child("noise"), 8, 0.0)
-    np.testing.assert_array_equal(v, np.zeros(8))
-
-
-def test_gaussian_rejects_bad_args():
-    rng = RngStream(0)
-    with pytest.raises(ValueError, match="sigma"):
-        gaussian(rng, 4, -1.0)
-    with pytest.raises(ValueError, match="dim"):
-        gaussian(rng, 0, 1.0)
-
-
-def test_gaussian_sample_variance():
-    # 1e5 draws: sample variance of unit-sigma coordinates within [0.97, 1.03]
-    rng = RngStream(123).child("variance-check")
-    draws = gaussian(rng, 100_000, 1.0)
-    var = float(np.var(draws))
-    assert 0.97 <= var <= 1.03
-
-
 def test_distinct_purpose_labels_give_independent_streams():
     root = RngStream(99)
     a = root.child("alpha").generator.standard_normal(64)
     b = root.child("bravo").generator.standard_normal(64)
     assert abs(float(np.corrcoef(a, b)[0, 1])) < 0.5
     assert not np.allclose(a, b)
+    # 1e5 normals: sample variance of unit-scale coordinates within [0.97, 1.03]
+    assert 0.97 <= float(np.var(RngStream(123).child("variance-check").normals(100_000))) <= 1.03
 
 
 def test_child_derivation_is_order_independent():
@@ -114,6 +89,8 @@ def test_nested_paths_replay_bit_identically():
     draws1 = RngStream(11).child("run").child(3).generator.standard_normal(32)
     draws2 = RngStream(11).child("run").child(3).generator.standard_normal(32)
     np.testing.assert_array_equal(draws1, draws2)
+    np.testing.assert_array_equal(RngStream(7).child("noise").normals(16, 2.0),
+                                  RngStream(7).child("noise").normals(16, 2.0))
     # a different leaf under the same parent differs
     other = RngStream(11).child("run").child(4).generator.standard_normal(32)
     assert not np.array_equal(draws1, other)
@@ -137,8 +114,6 @@ READS = st.one_of(
     st.tuples(st.just("normals"), st.integers(1, 300), st.sampled_from([1.0, 0.5, 2.5, 0.0]),
               st.integers(1, BLOCK * 5 // 2)),
     st.tuples(st.just("index"), st.integers(1, 20_000), st.none(), st.integers(1, BLOCK * 5 // 2)),
-    st.tuples(st.just("gaussian"), st.integers(1, 300), st.sampled_from([0.0, 1.5]),
-              st.integers(1, 5)),
     st.tuples(st.just("generator"), st.integers(1, 5), st.none(), st.integers(1, 3)),
 )
 
@@ -146,7 +121,7 @@ READS = st.one_of(
 def _per_step(gen, kind, k, param):
     """What one read returns without a buffer, straight from the generator;
     a scale of 0 draws nothing."""
-    if kind in ("normals", "gaussian"):
+    if kind == "normals":
         return np.zeros(k) if param == 0.0 else param * gen.standard_normal(k)
     if kind == "index":
         return int(gen.integers(k))
@@ -158,8 +133,6 @@ def _buffered(stream, kind, k, param):
         return stream.normals(k, param)
     if kind == "index":
         return stream.index(k)
-    if kind == "gaussian":
-        return gaussian(stream, k, param)
     return stream.generator.standard_normal(k)
 
 
@@ -181,8 +154,7 @@ def test_buffered_reads_equal_per_step_draws(seed, runs):
 def test_buffers_stay_small_and_zero_sigma_draws_nothing():
     stream = RngStream(3).child("s")
     state = stream.generator.bit_generator.state
-    gaussian(stream, 7, 0.0)
-    stream.normals(7, 0.0)
+    np.testing.assert_array_equal(stream.normals(7, 0.0), np.zeros(7))
     assert stream.generator.bit_generator.state == state
     stream.normals(MAX_BUFFERED + 1)  # read straight from the generator
     assert stream._buf is None
@@ -192,7 +164,7 @@ def test_buffers_stay_small_and_zero_sigma_draws_nothing():
 
 # Index bounds `RngStream.index` refuses, with the end of each refusal's wording.
 INDEX_REFUSALS = [(2.5, "be a whole number, got 2.5"), (True, "be a whole number, got True"),
-                  (0, "be >= 1, got 0")]
+                  (np.True_, "be a whole number, got np.True_"), (0, "be >= 1, got 0")]
 
 
 @pytest.mark.parametrize("reads_before", [0, 1, BLOCK])
@@ -204,8 +176,6 @@ def test_a_failed_read_leaves_the_stream_where_it_was(reads_before):
         stream.normals(2.5)
     with pytest.raises(TypeError):
         stream.normals(MAX_BUFFERED + 0.5)
-    # a dim of 2.0 passes its rule as 2, so this draw is two values
-    np.testing.assert_array_equal(gaussian(stream, 2.0, 1.0), fresh.normals(2))
     for k in (2, 3, MAX_BUFFERED + 1):
         np.testing.assert_array_equal(stream.normals(k), fresh.normals(k))
     assert stream.index(9) == fresh.index(9)
@@ -216,6 +186,14 @@ def test_a_failed_read_leaves_the_stream_where_it_was(reads_before):
     for bad, _ in INDEX_REFUSALS:
         with pytest.raises(ValueError):
             stream.index(bad)
+    # a buffer filled for n = 1 serves no bool, though True == 1
+    assert stream.index(1) == fresh.index(1) == 0
+    for bad, _ in INDEX_REFUSALS:
+        with pytest.raises(ValueError):
+            stream.index(bad)
+    # an equal n of another object goes through the check and reads the same values
+    assert [stream.index(9), stream.index(np.int64(9)), stream.index(9)] == [
+        fresh.index(9) for _ in range(3)]
     assert stream.generator.bit_generator.state == fresh.generator.bit_generator.state
 
 
@@ -231,8 +209,6 @@ def test_public_forms_refuse_bad_values_in_the_rules_wording():
         (lambda: storm_original_params(nan, 1, 1, 0), "k must be a finite real number, got nan"),
         (lambda: storm_update(zeros, True, zeros, zeros),
          "beta must be a finite real number, got True"),
-        (lambda: gaussian(RngStream(0), True, 1.0), "dim must be a whole number, got True"),
-        (lambda: gaussian(RngStream(0), 2, nan), "sigma must be a finite real number, got nan"),
         (lambda: storm_init(quad, zeros, 2.5, RngStream(0)),
          "batch_size must be a whole number, got 2.5"),
         (lambda: grad_check(quad, zeros, h=nan), "h must be a finite real number, got nan"),
@@ -240,12 +216,13 @@ def test_public_forms_refuse_bad_values_in_the_rules_wording():
         (lambda: grad_check(quad, zeros, h=True), "h must be a finite real number, got True"),
         (lambda: grad_check(quad, zeros, h=0.0), "h must be > 0, got 0.0"),
     ]
-    # a stream's index bound, on a fresh stream and after index(9) reads
-    for reads_before in (0, 1, BLOCK):
+    # a stream's index bound, on a fresh stream and after index(9) or index(1)
+    # reads, whose buffer True == 1 must not be served from
+    for n_before, reads_before in ((9, 0), (9, 1), (9, BLOCK), (1, 1), (1, BLOCK)):
         for bad, wording in INDEX_REFUSALS:
             stream = RngStream(0).child("s")
             for _ in range(reads_before):
-                stream.index(9)
+                stream.index(n_before)
             refusals.append((lambda s=stream, n=bad: s.index(n), f"n must {wording}"))
     for call, message in refusals:
         with pytest.raises(ValueError) as info:

@@ -768,23 +768,6 @@ def test_step_rules_call_only_the_unchecked_cores(monkeypatch, request):
         _assert_records_equal(run_algorithm(name, problem, BLOCK + 5, seed=6), want)
 
 
-def test_draws_do_not_pass_through_gaussian(monkeypatch, request):
-    # A problem's draws read its stream directly: its sizes and sigma were
-    # checked when it was built.
-    from stormlab import numerics, optimizers, problems
-
-    runs = _every_pair(request) + [("ada_storm", request.getfixturevalue("det_quad"))]
-    before = [run_algorithm(name, problem, BLOCK + 5, seed=6) for name, problem in runs]
-
-    def gaussian(*args):
-        raise AssertionError("a draw went through numerics.gaussian")
-
-    for module in (numerics, problems, optimizers):
-        monkeypatch.setattr(module, "gaussian", gaussian, raising=False)
-    for (name, problem), want in zip(runs, before):
-        _assert_records_equal(run_algorithm(name, problem, BLOCK + 5, seed=6), want)
-
-
 # Every problem family, small, for the registry property below.
 PROPERTY_PROBLEMS = {**REGISTRY_PROBLEMS,
                      "nonconvex_smooth": {"name": "nonconvex_smooth", "dim": 3, "sigma": 0.5,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stormlab.harness import CHECK_PROBLEMS
 from stormlab.numerics import BLOCK, RngStream
 from stormlab.problems import (
     EPSILON,
@@ -14,6 +15,7 @@ from stormlab.problems import (
     FiniteSumProblem,
     NoisyQuadratic,
     NonconvexSmooth,
+    Problem,
     check_spec,
     from_spec,
     grad_check,
@@ -301,6 +303,29 @@ def test_finite_sum_same_bytes_with_another_dtype_miss(monkeypatch):
     problem.value_and_grad(X)
     problem.value_and_grad(X.view(np.int64))
     assert len(measured) == 2 and measured[0] == measured[1]
+
+
+# --- one-point forms read the block form ---------------------------------------
+
+
+@pytest.mark.parametrize("spec", CHECK_PROBLEMS, ids=lambda spec: spec["name"])
+def test_one_point_forms_read_the_block_form(spec):
+    # Only the one-point gradients a step calls have a body of their own.
+    kept = (NoisyQuadratic, NonconvexSmooth)
+    for cls in (Problem, *FAMILIES.values()):
+        assert ("objective" in vars(cls)) == (cls is Problem), cls
+        assert ("true_grad" in vars(cls)) == (cls is Problem or cls in kept), cls
+    problem = from_spec(spec)
+    gen = np.random.default_rng(8)
+    for x in (problem.x0, np.zeros(problem.dim), *gen.standard_normal((5, problem.dim))):
+        f, g = problem.value_and_grad(x[None])
+        assert _same_bits(problem.objective(x), f[0])
+        if type(problem) in kept:
+            np.testing.assert_allclose(problem.true_grad(x), g[0], rtol=1e-12)
+        else:
+            assert _same_bits(problem.true_grad(x), g[0])
+    # a one-point read is no block a run measures, so a finite sum keeps none
+    assert getattr(problem, "_measured", {}) == {}
 
 
 # --- gradient checking -------------------------------------------------------
