@@ -59,12 +59,13 @@ class SlopeFit:
 def fit_loglog_slope(points) -> SlopeFit:
     """Fit log(y) = slope * log(x) + intercept.
 
-    Needs at least two points with strictly positive coordinates. With two
-    points the line interpolates and r_squared is reported as 1.
+    Needs points at two or more distinct x, with strictly positive
+    coordinates. With two points the line interpolates and r_squared is
+    reported as 1.
     """
     pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 2:
-        raise ValueError(f"need at least 2 points, got {len(pts)}")
+    if len({x for x, _ in pts}) < 2:
+        raise ValueError(f"need at least 2 distinct x, got {pts}")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     if np.any(xs <= 0) or np.any(ys <= 0):
@@ -87,6 +88,15 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+# The per-run statistics that `summarize` averages over seeds, by the name
+# of their mean; each mean's standard error is named <name>_stderr.
+_RUN_STATS = {
+    "avg_grad_norm": lambda r: r.grad_norm.mean(),
+    "tau_grad_norm": lambda r: r.grad_norm[r.tau - 1],
+    "final_quarter_grad_norm": lambda r: r.grad_norm[-math.ceil(r.T / 4):].mean(),
+}
+
+
 def summarize(records) -> dict:
     """Cross-seed statistics for runs sharing one (algorithm, problem, T).
 
@@ -98,32 +108,17 @@ def summarize(records) -> dict:
     records = list(records)
     if not records:
         raise ValueError("need at least one record")
-    key = (
-        records[0].config.get("algorithm"),
-        records[0].config.get("problem"),
-        records[0].config.get("T"),
-    )
-    for r in records[1:]:
-        other = (r.config.get("algorithm"), r.config.get("problem"), r.config.get("T"))
-        if other != key:
-            raise ValueError(f"mixed run configs: {key} vs {other}")
+    keys = [tuple(map(r.config.get, ("algorithm", "problem", "T"))) for r in records]
+    for other in keys[1:]:
+        if other != keys[0]:
+            raise ValueError(f"mixed run configs: {keys[0]} vs {other}")
     # Sort by seed so aggregation never depends on execution order.
     records.sort(key=lambda r: r.config.get("seed", 0))
-    avg = [float(r.grad_norm.mean()) for r in records]
-    at_tau = [float(r.grad_norm[r.tau - 1]) for r in records]
-    quarter = [float(r.grad_norm[-math.ceil(r.T / 4):].mean()) for r in records]
-    avg_m, avg_se = _mean_stderr(avg)
-    tau_m, tau_se = _mean_stderr(at_tau)
-    q_m, q_se = _mean_stderr(quarter)
-    return {
-        "avg_grad_norm": avg_m,
-        "avg_grad_norm_stderr": avg_se,
-        "tau_grad_norm": tau_m,
-        "tau_grad_norm_stderr": tau_se,
-        "final_quarter_grad_norm": q_m,
-        "final_quarter_grad_norm_stderr": q_se,
-        "n_seeds": len(records),
-    }
+    stats = {}
+    for name, stat in _RUN_STATS.items():
+        stats[name], stats[f"{name}_stderr"] = _mean_stderr([float(stat(r)) for r in records])
+    stats["n_seeds"] = len(records)
+    return stats
 
 
 def estimator_error_stats(record) -> dict:

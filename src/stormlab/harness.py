@@ -157,17 +157,14 @@ class GridResult:
         return not self.failures
 
 
-def _run_cell(payload):
-    problem, algo, T, seed = payload
+def _run_cell(problem, algo, T, seed):
+    """Run one grid cell, config entry `algo` on `problem` at T and seed:
+    (True, its RunRecord), or (False, the error as text) if the run raises."""
     params = {
         k: v for k, v in algo.items() if k not in ("name", "label")
     }
-    return run_algorithm(algo["name"], problem, T, seed, **params)
-
-
-def _run_cell_safe(payload):
     try:
-        return True, _run_cell(payload)
+        return True, run_algorithm(algo["name"], problem, T, seed, **params)
     except Exception as exc:  # grid keeps going; the failure is reported
         return False, f"{type(exc).__name__}: {exc}"
 
@@ -182,11 +179,11 @@ def _start_worker(problem):
 
 
 def _run_worker_cell(cell):
-    return _run_cell_safe((_worker_problem, *cell))
+    return _run_cell(_worker_problem, *cell)
 
 
 def _pool_outcomes(problem, grid, jobs):
-    """`_run_cell_safe` outcomes of the grid's cells, in grid order, from
+    """`_run_cell` outcomes of the grid's cells, in grid order, from
     `jobs` worker processes, or one per cell when the grid has fewer cells.
     When a worker dies, every cell not yet received runs alone in a fresh
     one-worker pool, so a cell whose own worker dies fails alone."""
@@ -249,28 +246,29 @@ def run_grid(config: ExperimentConfig, jobs: int = 1, out_dir=None) -> GridResul
     cells = [(algo["label"], T, seed) for algo, T, seed in grid]
 
     result = GridResult(cells=cells, records=[])
-    by_group = {}
     if jobs == 1:
-        outcomes = (_run_cell_safe((problem, *cell)) for cell in grid)
+        outcomes = (_run_cell(problem, *cell) for cell in grid)
     else:
         outcomes = _pool_outcomes(problem, grid, jobs)
     with contextlib.closing(outcomes):  # shuts the pool down on any exit
         for cell, (ok, value) in zip(cells, outcomes):
-            if ok:
-                result.records.append(value)
-                by_group.setdefault((cell[0], cell[1]), []).append(value)
-                if out_dir is not None:
-                    write_trace_csv(value, _trace_path(out_dir, cell, config), thin=thin)
-            else:
-                result.records.append(None)
+            result.records.append(value if ok else None)
+            if not ok:
                 result.failures.append({"cell": _cell_name(cell, config), "error": value})
+            elif out_dir is not None:
+                write_trace_csv(value, _trace_path(out_dir, cell, config), thin=thin)
 
-    # Groups appear in grid order; one without a finished cell never appears.
-    for (label, T), group in by_group.items():
-        stats = summarize(group)
-        result.rows.append(
-            SummaryRow(algorithm=label, problem=config.problem["name"], T=T, **stats)
-        )
+    # A (label, T) group is a run of len(seeds) cells in grid order; one
+    # without a finished cell gets no row.
+    n_seeds = len(config.seeds)
+    for start in range(0, len(cells), n_seeds):
+        group = [r for r in result.records[start:start + n_seeds] if r is not None]
+        if group:
+            label, T, _ = cells[start]
+            stats = summarize(group)
+            result.rows.append(
+                SummaryRow(algorithm=label, problem=name, T=T, **stats)
+            )
     result.slopes = fit_slopes(result.rows)
     if out_dir is not None:
         _write_summaries(result, config, out_dir)

@@ -75,15 +75,16 @@ def real(value, what) -> float:
 
 # Every named value's rule, (kind, test, wording), keyed by name: problem
 # fields, algorithm tunables, a run's T and seed, a grid's thin and jobs, the
-# arguments of the step-size laws (their running sums included), the
-# estimators' beta, a warm-up batch size and `grad_check`'s step h.
+# arguments of the step-size laws (their running sums included), a doubling
+# stage's step t, the estimators' beta, a warm-up batch size and
+# `grad_check`'s step h.
 # `checked` applies them.
 _ONE_OR_MORE = (whole, lambda v: v >= 1, "be >= 1")
 _POSITIVE = (real, lambda v: v > 0, "be > 0")
 _NONNEGATIVE = (real, lambda v: v >= 0, "be >= 0")
 RULES = {
     **dict.fromkeys(("T", "dim", "n", "inner_dim", "horizon", "period", "thin", "jobs",
-                     "batch_size"), _ONE_OR_MORE),
+                     "batch_size", "t"), _ONE_OR_MORE),
     **dict.fromkeys(("L", "mu", "eta0", "k", "w", "c", "h"), _POSITIVE),
     **dict.fromkeys(("sigma", "decay", "sum_sq", "grad_sum_sq"), _NONNEGATIVE),
     # The seeds whose streams differ: PCG64 reads a seed as 64 bits.
@@ -190,14 +191,16 @@ class RngStream:
         scale = 0 returns k zeros without drawing, so a noiseless run does
         not depend on the stream's position. The result may be a view into
         the buffer block; the stream never writes to a block it has handed
-        out. A read that fails, such as one of 2.5 values, leaves the
-        stream's position where it was.
+        out. A read that fails, such as one of 2.5 or -1 values, leaves the
+        stream's position where it was: the buffer serves only counts >= 1,
+        so a count <= 0 goes to the refill, whose draw refuses a negative
+        one before anything moves.
         """
         if scale == 0.0:
             return np.zeros(k)
         pos = self._pos
         end = pos + k
-        if end > self._size or self._kind != "normal" or self._param != scale:
+        if not pos < end <= self._size or self._kind != "normal" or self._param != scale:
             if k > MAX_BUFFERED:
                 return scale * self.generator.standard_normal(k)
             self._refill("normal", scale, k)

@@ -80,7 +80,6 @@ from .schedules import (  # noqa: F401
     finite_sum_beta,
     finite_sum_lr,
     finite_sum_lr_law,
-    stage_length,
     storm_original_law,
     storm_original_params,
 )
@@ -133,8 +132,9 @@ class DivergenceError(ArithmeticError):
 
 
 def warmup_batch_size(horizon: int) -> int:
-    """ceil(horizon**(1/3)); the tiny slack absorbs cube roots of perfect
-    cubes landing one ulp above the integer."""
+    """ceil(horizon**(1/3)) for a whole horizon >= 1; the tiny slack absorbs
+    cube roots of perfect cubes landing one ulp above the integer."""
+    horizon = checked("horizon", horizon)
     return int(math.ceil(horizon ** (1.0 / 3.0) - 1e-12))
 
 
@@ -277,8 +277,10 @@ def _ada_storm_steps(problem, T, x, root, alpha, doubling=False):
 
     def step(t, x, x_prev):
         nonlocal v, beta, lr, sum_sq
-        horizon, reset = stage_length(t) if doubling else (T, t == 1)
-        if reset:
+        # One stage opens at t = 1 and lasts T steps; doubling, a stage opens
+        # at each power of two t and lasts t steps (`schedules.stage_length`).
+        if t == 1 or doubling and (t & (t - 1)) == 0:
+            horizon = t if doubling else T
             sum_sq = 0.0
             beta = ada_beta(horizon)
             lr = ada_lr_law(horizon, alpha)

@@ -61,8 +61,9 @@ class Problem:
     Each family defines `value_and_grad(X)`: f (B,) and the exact gradients
     (B, dim) at the rows of X (B, dim), where each row's result depends only
     on that row, its position in X and the shape of X, never on the other
-    rows. The one-point `objective` and `true_grad` read row 0 of the block
-    `x[None]`; a family overrides `true_grad` only where a step calls it.
+    rows. The one-point `objective` and `true_grad` take any array-like x
+    and read row 0 of the block `np.asarray(x, dtype=np.float64)[None]`; a
+    family overrides `true_grad` only where a step calls it.
     """
 
     dim: int
@@ -72,10 +73,10 @@ class Problem:
     spec: dict
 
     def objective(self, x) -> float:
-        return float(self.value_and_grad(x[None])[0][0])
+        return float(self.value_and_grad(np.asarray(x, dtype=np.float64)[None])[0][0])
 
     def true_grad(self, x) -> Vector:
-        return self.value_and_grad(x[None])[1][0]
+        return self.value_and_grad(np.asarray(x, dtype=np.float64)[None])[1][0]
 
 
 class StochasticProblem(Problem):

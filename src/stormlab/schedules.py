@@ -55,16 +55,15 @@ def ada_beta(horizon: int) -> float:
 
 
 def stage_length(t: int) -> tuple[int, bool]:
-    """Doubling-trick stage for step t (1-based).
+    """Doubling-trick stage for step t (1-based), a whole number >= 1.
 
     Returns (I, reset) where I = 2**floor(log2(t)) is the current stage
     length and reset is True exactly when t opens a new stage, i.e. t is a
     power of two. I <= t < 2 * I always holds.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    i = 1 << (int(t).bit_length() - 1)
-    return i, (t & (t - 1)) == 0
+    t = checked("t", t)
+    i = 1 << (t.bit_length() - 1)
+    return i, i == t
 
 
 def finite_sum_lr_law(n: int, alpha: float):

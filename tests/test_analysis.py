@@ -104,6 +104,10 @@ def test_slope_fit_noisy_power_law_r_squared():
 def test_slope_fit_rejects_bad_points():
     with pytest.raises(ValueError, match="at least 2"):
         fit_loglog_slope([(10.0, 1.0)])
+    # points at a single x fix no slope
+    for points in ([(10, 1), (10, 2)], [(10, 1), (10, 2), (10.0, 3)]):
+        with pytest.raises(ValueError, match="at least 2 distinct x"):
+            fit_loglog_slope(points)
     with pytest.raises(ValueError, match="positive"):
         fit_loglog_slope([(10.0, 1.0), (100.0, -1.0)])
     with pytest.raises(ValueError, match="positive"):

@@ -611,15 +611,14 @@ def test_failing_cell_is_reported_but_grid_continues(monkeypatch):
     cfg = parse_config(json.dumps(BASE_CONFIG))
     import stormlab.harness as harness
 
-    original = harness._run_cell
+    original = harness.run_algorithm
 
-    def flaky(payload):
-        _, algo, T, seed = payload
-        if algo["name"] == "sgd" and T == 80 and seed == 3:
+    def flaky(name, problem, T, seed, **params):
+        if name == "sgd" and T == 80 and seed == 3:
             raise RuntimeError("synthetic cell failure")
-        return original(payload)
+        return original(name, problem, T, seed, **params)
 
-    monkeypatch.setattr(harness, "_run_cell", flaky)
+    monkeypatch.setattr(harness, "run_algorithm", flaky)
     result = run_grid(cfg)
     assert not result.ok
     assert len(result.failures) == 1
@@ -639,21 +638,21 @@ def test_dead_worker_fails_only_its_own_cell(monkeypatch, tmp_path):
                   grid={"T": [20, 40, 80], "seeds": [1, 2]})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    original = harness._run_cell
+    original = harness.run_algorithm
 
-    def dying(payload):
-        if payload[2:] == (40, 1):
+    def dying(name, problem, T, seed, **params):
+        if (T, seed) == (40, 1):
             os._exit(3)
-        return original(payload)
+        return original(name, problem, T, seed, **params)
 
-    def failing(payload):
-        if payload[2:] == (40, 1):
+    def failing(name, problem, T, seed, **params):
+        if (T, seed) == (40, 1):
             raise RuntimeError("synthetic cell failure")
-        return original(payload)
+        return original(name, problem, T, seed, **params)
 
     outputs = {}
     for jobs, cell in (("1", failing), ("2", dying)):
-        monkeypatch.setattr(harness, "_run_cell", cell)
+        monkeypatch.setattr(harness, "run_algorithm", cell)
         out = tmp_path / jobs
         assert cli_main(["run", str(path), "--out", str(out), "--jobs", jobs]) == 1
         outputs[jobs] = _dir_bytes(out)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from stormlab import numerics
 from stormlab.estimators import storm_init, storm_update
 from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, norm_sq
+from stormlab.optimizers import warmup_batch_size
 from stormlab.problems import grad_check, make_noisy_quadratic
-from stormlab.schedules import ada_lr, finite_sum_lr, storm_original_params
+from stormlab.schedules import ada_lr, finite_sum_lr, stage_length, storm_original_params
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -186,6 +187,9 @@ def test_a_failed_read_leaves_the_stream_where_it_was(reads_before):
     stream, fresh = RngStream(8).child("s"), RngStream(8).child("s")
     for _ in range(reads_before):
         np.testing.assert_array_equal(stream.normals(2), fresh.normals(2))
+    # a negative count is no buffered read that moves the stream back
+    with pytest.raises(ValueError):
+        stream.normals(-1)
     with pytest.raises(TypeError):
         stream.normals(2.5)
     with pytest.raises(TypeError):
@@ -229,6 +233,13 @@ def test_public_forms_refuse_bad_values_in_the_rules_wording():
         (lambda: grad_check(quad, zeros, h=math.inf), "h must be a finite real number, got inf"),
         (lambda: grad_check(quad, zeros, h=True), "h must be a finite real number, got True"),
         (lambda: grad_check(quad, zeros, h=0.0), "h must be > 0, got 0.0"),
+        (lambda: stage_length(0), "t must be >= 1, got 0"),
+        (lambda: stage_length(2.5), "t must be a whole number, got 2.5"),
+        (lambda: stage_length(True), "t must be a whole number, got True"),
+        (lambda: warmup_batch_size(0), "horizon must be >= 1, got 0"),
+        (lambda: warmup_batch_size(2.5), "horizon must be a whole number, got 2.5"),
+        (lambda: warmup_batch_size(True), "horizon must be a whole number, got True"),
+        (lambda: warmup_batch_size(-8), "horizon must be >= 1, got -8"),
     ]
     # a stream's index bound, on a fresh stream and after index(9) or index(1)
     # reads, whose buffer True == 1 must not be served from

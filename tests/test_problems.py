@@ -324,6 +324,9 @@ def test_one_point_forms_read_the_block_form(spec):
             np.testing.assert_allclose(problem.true_grad(x), g[0], rtol=1e-12)
         else:
             assert _same_bits(problem.true_grad(x), g[0])
+        # an array-like x reads as its float64 array
+        for form in (problem.objective, problem.true_grad):
+            assert _same_bits(form(x.tolist()), form(x))
     # a one-point read is no block a run measures, so a finite sum keeps none
     assert getattr(problem, "_measured", {}) == {}
 

@@ -91,6 +91,7 @@ def test_stage_length_hand_values():
     assert stage_length(3) == (2, False)
     assert stage_length(7) == (4, False)
     assert stage_length(8) == (8, True)
+    assert stage_length(3.0) == (2, False)  # a whole float reads as its int
 
 
 @given(st.integers(min_value=1, max_value=10**9))
