@@ -59,17 +59,17 @@ class SlopeFit:
 def fit_loglog_slope(points) -> SlopeFit:
     """Fit log(y) = slope * log(x) + intercept.
 
-    Needs points at two or more distinct x, with strictly positive
-    coordinates. With two points the line interpolates and r_squared is
-    reported as 1.
+    Needs points at two or more distinct x, with finite, strictly positive
+    coordinates: a NaN or infinite one raises ValueError too. With two
+    points the line interpolates and r_squared is reported as 1.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len({x for x, _ in pts}) < 2:
         raise ValueError(f"need at least 2 distinct x, got {pts}")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("log-log fit needs strictly positive coordinates")
+    if not np.all(np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)):
+        raise ValueError(f"log-log fit needs finite, strictly positive coordinates, got {pts}")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     residuals = ly - (slope * lx + intercept)

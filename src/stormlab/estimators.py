@@ -3,7 +3,8 @@
 Every update takes the previous state plus freshly evaluated gradients and
 returns a new state. Nothing here mutates its inputs except
 `GradientTable.write`, the in-place table step a run loop uses, and only
-`storm_init` draws samples, through the problem's oracle. That keeps the
+`storm_init` draws samples, one block of its batch through the problem's
+block draw `draws`. That keeps the
 transitions enumerable (exact conditional expectations can be computed by
 brute force over the sampling choices) and replayable.
 
@@ -12,8 +13,8 @@ brute force over the sampling choices) and replayable.
     v_new = (1 - beta) * v_prev + beta * grad_new
             + (1 - beta) * (grad_new - grad_old)
 
-where grad_new and grad_old come from the SAME sample (one value returned
-by the problem's `draw`) evaluated at the new and previous iterate. beta = 1
+where grad_new and grad_old come from the SAME sample (one sample of the
+problem's draws) evaluated at the new and previous iterate. beta = 1
 drops all history and returns grad_new. The compositional updates run it on
 inner values and on Jacobian/outer-gradient products; the finite-sum
 updates subtract beta times a zero-mean control variate from it.
@@ -66,7 +67,8 @@ def _corrected(v_prev, beta, grad_new, grad_old, sample, mean):
 
 
 def storm_init(problem, x, batch_size: int, rng) -> Vector:
-    """Average of batch_size oracle gradients at x.
+    """Average of batch_size oracle gradients at x, their samples drawn
+    as one block by `problem.draws(rng, batch_size)`.
 
     Mean squared error against the exact gradient scales like 1/batch_size,
     so a modest warm-up batch pins down the first estimate.
@@ -74,8 +76,8 @@ def storm_init(problem, x, batch_size: int, rng) -> Vector:
     batch_size = checked("batch_size", batch_size)
     x = np.asarray(x, dtype=np.float64)
     total = np.zeros_like(x)
-    for _ in range(batch_size):
-        total += problem.grad_at(problem.draw(rng), x)
+    for sample in problem.draws(rng, batch_size):
+        total += problem.grad_at(sample, x)
     return total / batch_size
 
 

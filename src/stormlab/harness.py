@@ -282,14 +282,15 @@ SLOPE_KEYS = ("algorithm", "problem", "metric", "slope", "intercept", "r_squared
 def fit_slopes(rows) -> list:
     """Log-log fit of avg_grad_norm against T for each (algorithm, problem)
     in `rows`, in first-seen order, as a dict with the `SLOPE_KEYS`; groups
-    with fewer than three horizons or a nonpositive value are left out."""
+    with fewer than three horizons or a value that is not finite and > 0
+    are left out."""
     groups = {}
     for row in rows:
         groups.setdefault((row.algorithm, row.problem), []).append((row.T, row.avg_grad_norm))
     slopes = []
     for (algorithm, problem), points in groups.items():
         points.sort()
-        if len(points) >= 3 and all(y > 0 for _, y in points):
+        if len(points) >= 3 and all(0 < y < np.inf for _, y in points):
             fit = fit_loglog_slope(points)
             values = (algorithm, problem, "avg_grad_norm", fit.slope, fit.intercept,
                       fit.r_squared, [list(p) for p in fit.points])

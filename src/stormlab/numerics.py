@@ -5,12 +5,14 @@ helpers here are thin, but they pin down the conventions everything else
 relies on: explicit dimension checks, no silent NaN/Inf propagation, and
 random streams that are addressed by labels instead of draw order.
 
-Per-step draws are read from a block buffer. A stream read k values at a
-time draws BLOCK * k of them with one generator call and hands them out in
-order; PCG64 gives exactly the values (and leaves exactly the state) that
-BLOCK separate calls would, so a buffered read equals the unbuffered one
-bit for bit. The run loop measures its trace per block of BLOCK steps for
-the same reason: one numpy call per block instead of one per step.
+An `RngStream` is a pure address, (seed, label path) -> generator; it holds
+no buffer. Per-step samples come from `samples`, a reader over one family's
+block draw (`problems.StochasticProblem.draws` and the rest): one generator
+call fills the samples of BLOCK steps, and PCG64 fills a (BLOCK, k) block
+with exactly the values (and leaves exactly the state) of BLOCK calls of
+size k, so a block read equals one call per step bit for bit. The run loop
+measures its trace per block of BLOCK steps for the same reason: one numpy
+call per block instead of one per step.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ Vector = np.ndarray
 
 _UINT64_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
-# Draws per buffer refill. A single draw of more than MAX_BUFFERED values
-# bypasses the buffer, so a buffer never holds more than BLOCK * MAX_BUFFERED
-# doubles. 110 values is the inner draw of the 10 x 10 compositional problem,
-# inner_dim * (1 + dim), the largest per-step draw of the shipped instances.
+# Samples per block draw of `samples`. A sample of more than MAX_BUFFERED
+# values is drawn one per generator call, so a block never holds more than
+# BLOCK * MAX_BUFFERED doubles. 110 values is the inner draw of the 10 x 10
+# compositional problem, inner_dim * (1 + dim), the largest per-step draw of
+# the shipped instances.
 BLOCK = 64
 MAX_BUFFERED = 110
 
@@ -131,7 +134,7 @@ def checked_fields(given, fields, where, prefix=None) -> dict:
 def _label_entropy(label) -> int:
     # Stable across platforms and sessions; never use the builtin hash() here.
     if isinstance(label, (int, np.integer)):
-        return int(label) & _UINT64_MASK
+        return int(label)
     digest = hashlib.sha256(str(label).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -149,114 +152,52 @@ class RngStream:
     seed and the labels, never on how many siblings were derived before it,
     so adding a new consumer leaves every existing stream untouched. Two
     streams with the same seed and path produce identical draw sequences;
-    distinct paths give statistically independent sequences.
+    distinct paths give statistically independent sequences. An integer
+    label is read as its value and any other label by a hash of its str. A
+    bool label, or an integer one outside [0, 2**64), raises ValueError:
+    it would name another label's stream (True that of 1, -1 that of
+    2**64 - 1, 2**64 that of 0).
 
-    Draws advance only the stream's own generator; derivation itself is a
-    pure function. `normals` and `index` read from a block buffer and return
-    exactly what `generator.standard_normal` and `generator.integers` would
-    have returned, call for call. A stream may mix them with each other and
-    with direct `generator` use: the buffer is dropped and the generator
-    rewound to just after the last value read whenever the kind of draw
-    changes or `generator` is fetched.
+    Derivation is a pure function, and `generator` is the stream's only
+    state: it is made on first use, and only draws from it advance it.
     """
 
-    __slots__ = ("seed", "path", "_gen", "_buf", "_pos", "_size", "_kind", "_param", "_state")
+    __slots__ = ("seed", "path", "_gen")
 
     def __init__(self, seed: int):
-        self._start(checked("seed", seed), ())
-
-    def _start(self, seed, path):
-        self.seed = seed
-        self.path = path
-        self._gen = None
-        self._buf = None
-        self._pos = self._size = 0
-        self._kind = self._param = self._state = None
+        self.seed, self.path, self._gen = checked("seed", seed), (), None
 
     def child(self, label) -> "RngStream":
+        if isinstance(label, (bool, np.bool_)) or (
+                isinstance(label, (int, np.integer)) and not 0 <= label <= _UINT64_MASK):
+            raise ValueError(
+                f"stream label must be a string or a whole number in [0, 2**64), got {label!r}")
         # The seed was checked at the root; a child takes it as it is.
         stream = RngStream.__new__(RngStream)
-        stream._start(self.seed, self.path + (label,))
+        stream.seed, stream.path, stream._gen = self.seed, self.path + (label,), None
         return stream
 
     @property
     def generator(self) -> np.random.Generator:
-        """The stream's generator, positioned just after the last value read."""
-        self._sync()
-        return self._generator()
-
-    def normals(self, k: int, scale: float = 1.0) -> np.ndarray:
-        """`scale * generator.standard_normal(k)`, read from the buffer.
-
-        scale = 0 returns k zeros without drawing, so a noiseless run does
-        not depend on the stream's position. The result may be a view into
-        the buffer block; the stream never writes to a block it has handed
-        out. A read that fails, such as one of 2.5 or -1 values, leaves the
-        stream's position where it was: the buffer serves only counts >= 1,
-        so a count <= 0 goes to the refill, whose draw refuses a negative
-        one before anything moves.
-        """
-        if scale == 0.0:
-            return np.zeros(k)
-        pos = self._pos
-        end = pos + k
-        if not pos < end <= self._size or self._kind != "normal" or self._param != scale:
-            if k > MAX_BUFFERED:
-                return scale * self.generator.standard_normal(k)
-            self._refill("normal", scale, k)
-            pos, end = 0, k
-        out = self._buf[pos:end]
-        self._pos = end
-        return out
-
-    def index(self, n: int) -> int:
-        """`int(generator.integers(n))`, read from the buffer.
-
-        n is checked by its `RULES` rule, a whole number >= 1, before a
-        refill, so a refused n leaves the stream where it was and a read
-        from the filled buffer pays nothing for the check. The buffer serves
-        only the very n object it was filled for: an equal n of another
-        object, such as True after index(1), goes through the check (and an
-        accepted one through a refill, which reads the same values).
-        """
-        pos = self._pos
-        if pos >= self._size or self._kind != "index" or self._param is not n:
-            self._refill("index", checked("n", n), 1)
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
-
-    def _generator(self) -> np.random.Generator:
+        """The stream's generator, positioned just after the last value drawn."""
         if self._gen is None:
-            entropy = [self.seed]
-            entropy.extend(_label_entropy(part) for part in self.path)
-            self._gen = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy))
-            )
+            entropy = [self.seed, *map(_label_entropy, self.path)]
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         return self._gen
-
-    def _refill(self, kind, param, k):
-        self._sync()
-        gen = self._generator()
-        self._state = gen.bit_generator.state
-        if kind == "normal":
-            self._buf = param * gen.standard_normal(BLOCK * k)
-        else:
-            self._buf = gen.integers(param, size=BLOCK).tolist()
-        self._pos, self._size, self._kind, self._param = 0, len(self._buf), kind, param
-
-    def _sync(self):
-        """Drop the buffer, leaving the generator where unbuffered draws
-        would have: rewind to the block's start and redraw what was read."""
-        if self._pos < self._size:
-            gen = self._gen
-            gen.bit_generator.state = self._state
-            if self._kind == "normal":
-                gen.standard_normal(self._pos)
-            else:
-                gen.integers(self._param, size=self._pos)
-        self._buf = self._kind = self._param = self._state = None
-        self._pos = self._size = 0
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path!r})"
+
+
+def samples(draws, rng: RngStream, size: int):
+    """The samples of the block draw `draws(rng, rows)`, one per `next()`.
+
+    Each block draw fills the samples of BLOCK steps with one generator call,
+    exactly the values of one call per step. A sample of more than
+    MAX_BUFFERED values (`size`) is drawn one per call instead, so no block
+    holds more than BLOCK * MAX_BUFFERED doubles. A sample may be a view into
+    its block, which nothing writes to.
+    """
+    rows = BLOCK if size <= MAX_BUFFERED else 1
+    while True:
+        yield from draws(rng, rows)

@@ -25,10 +25,11 @@ the problem's features. Nothing else is reused: every oracle call, full
 pass and table fill computes, so a run's oracle cost in a grid is its cost
 alone.
 
-The random streams are read per block too: every oracle draw and component
-index, each taken through the problem's draw methods, comes from its
-stream's BLOCK-draw buffer (`RngStream.normals` and `RngStream.index`),
-whose values are exactly those of one generator call per step.
+The random streams are read per block too: each step rule builds one
+reader (`numerics.samples`) per stream at set-up over the problem's block
+draw (`draws`, `inner_draws`, `outer_draws`) and takes one sample per step
+with `next`, so one generator call serves BLOCK steps with exactly the
+values of one call per step. A warm-up batch is one block of its size.
 
 Step rules check beta, the shapes and the fixed step-size arguments once
 at set-up (`check_recursion`, `ada_lr_law`, `finite_sum_lr_law`,
@@ -70,7 +71,7 @@ from .estimators import (  # noqa: F401 - bench/tracer.py wraps the checked upda
     svrg_update,
     take_snapshot,
 )
-from .numerics import BLOCK, RngStream, checked, checked_fields, norm_sq
+from .numerics import BLOCK, RngStream, checked, checked_fields, norm_sq, samples
 # bench/tracer.py wraps ada_lr, finite_sum_lr and storm_original_params here,
 # though no step rule calls them.
 from .schedules import (  # noqa: F401
@@ -268,10 +269,16 @@ def _run(name, problem, T, seed, keep_iterates, steps, **params) -> RunRecord:
     )
 
 
+def _step_samples(problem, rng):
+    """The per-step reader of a sampled-gradient problem's `draws`: each
+    sample is a component index for the finite sum, dim noises otherwise."""
+    return samples(problem.draws, rng, 1 if problem.sigma is None else problem.dim)
+
+
 def _ada_storm_steps(problem, T, x, root, alpha, doubling=False):
-    step_rng = root.child("step")
+    step_samples = _step_samples(problem, root.child("step"))
     init_rng = root.child("init")
-    draw, grad_at = problem.draw, problem.grad_at
+    grad_at = problem.grad_at
     v = beta = lr = None
     sum_sq = 0.0
 
@@ -287,7 +294,7 @@ def _ada_storm_steps(problem, T, x, root, alpha, doubling=False):
             v = storm_init(problem, x, warmup_batch_size(horizon), init_rng)
             check_recursion(beta, v, x)
         else:
-            sample = draw(step_rng)
+            sample = next(step_samples)
             v = _storm(v, beta, grad_at(sample, x), grad_at(sample, x_prev))
         v_sq = norm_sq(v)
         sum_sq += v_sq
@@ -321,31 +328,29 @@ def run_ada_storm_doubling(problem, T, alpha=0.3, seed=0, keep_iterates=False) -
 
 
 def _comp_storm_steps(problem, T, x, root, alpha):
-    inner_rng = root.child("inner")
-    outer_rng = root.child("outer")
-    init_inner = root.child("init_inner")
-    init_outer = root.child("init_outer")
+    m = problem.inner_dim
+    inner_samples = samples(problem.inner_draws, root.child("inner"), m * (1 + problem.dim))
+    outer_samples = samples(problem.outer_draws, root.child("outer"), m)
     beta = ada_beta(T)
     lr = ada_lr_law(T, alpha)
     batch = warmup_batch_size(T)
-    inner_samples = [problem.draw_inner(init_inner) for _ in range(batch)]
-    outer_samples = [problem.draw_outer(init_outer) for _ in range(batch)]
-    u = np.mean([problem.inner_value(zeta, x) for zeta in inner_samples], axis=0)
+    inner_batch = problem.inner_draws(root.child("init_inner"), batch)
+    outer_batch = problem.outer_draws(root.child("init_outer"), batch)
+    u = np.mean([problem.inner_value(zeta, x) for zeta in inner_batch], axis=0)
     v = np.mean(
         [problem.inner_jac(zeta, x).T @ problem.outer_grad(xi, u)
-         for zeta, xi in zip(inner_samples, outer_samples)],
+         for zeta, xi in zip(inner_batch, outer_batch)],
         axis=0,
     )
     check_recursion(beta, v, x)
-    draw_inner, draw_outer = problem.draw_inner, problem.draw_outer
     inner_value, inner_jac, outer_grad = problem.inner_value, problem.inner_jac, problem.outer_grad
     sum_sq = 0.0
 
     def step(t, x, x_prev):
         nonlocal u, v, sum_sq
         if t > 1:
-            zeta = draw_inner(inner_rng)
-            xi = draw_outer(outer_rng)
+            zeta = next(inner_samples)
+            xi = next(outer_samples)
             u_new = _storm(u, beta, inner_value(zeta, x), inner_value(zeta, x_prev))
             v = _comp_grad(
                 v, beta, outer_grad(xi, u_new), inner_jac(zeta, x),
@@ -372,20 +377,20 @@ def run_comp_storm(problem, T, alpha=0.3, seed=0, keep_iterates=False) -> RunRec
 
 
 def _fs_storm_steps(problem, T, x, root, alpha):
-    index_rng = root.child("component")
+    indices = samples(problem.draws, root.child("component"), 1)
     n = problem.n
     beta = finite_sum_beta(n)
     lr = finite_sum_lr_law(n, alpha)
     table = GradientTable.from_full_pass(problem, x)
     v = table.mean.copy()
     check_recursion(beta, v, x)
-    draw, component_grad, entries = problem.draw, problem.component_grad, table.entries
+    component_grad, entries = problem.component_grad, table.entries
     sum_sq = 0.0
 
     def step(t, x, x_prev):
         nonlocal v, sum_sq
         if t > 1:
-            i = draw(index_rng)
+            i = next(indices)
             g_new = component_grad(i, x)
             v = _corrected(v, beta, g_new, component_grad(i, x_prev), entries[i], table.mean)
             table._write(i, g_new)  # the run owns its table: no O(n dim) copy
@@ -408,14 +413,14 @@ def run_fs_storm(problem, T, alpha=0.3, seed=0, keep_iterates=False) -> RunRecor
 
 
 def _fs_storm_svrg_steps(problem, T, x, root, alpha, period):
-    index_rng = root.child("component")
+    indices = samples(problem.draws, root.child("component"), 1)
     n = problem.n
     beta = finite_sum_beta(n)
     lr = finite_sum_lr_law(n, alpha)
     snapshot = take_snapshot(problem, x, period)
     v = snapshot.full_grad.copy()
     check_recursion(beta, v, x)
-    draw, component_grad = problem.draw, problem.component_grad
+    component_grad = problem.component_grad
     sum_sq = 0.0
 
     def step(t, x, x_prev):
@@ -423,7 +428,7 @@ def _fs_storm_svrg_steps(problem, T, x, root, alpha, period):
         if t > 1:
             if t % period == 0:
                 snapshot = take_snapshot(problem, x, period)
-            i = draw(index_rng)
+            i = next(indices)
             v = _corrected(
                 v, beta, component_grad(i, x), component_grad(i, x_prev),
                 component_grad(i, snapshot.x), snapshot.full_grad,
@@ -448,10 +453,10 @@ def run_fs_storm_svrg(problem, T, alpha=0.3, seed=0, period=None, keep_iterates=
 
 
 def _sgd_steps(problem, T, x, root, eta0, decay):
-    step_rng = root.child("step")
+    step_samples = _step_samples(problem, root.child("step"))
 
     def step(t, x, x_prev):
-        g = problem.grad_at(problem.draw(step_rng), x)
+        g = problem.grad_at(next(step_samples), x)
         return g, norm_sq(g), eta0 / math.sqrt(1.0 + decay * t), 0.0
 
     return step
@@ -467,14 +472,14 @@ def run_sgd(problem, T, eta0=0.1, decay=0.0, seed=0, keep_iterates=False) -> Run
 
 
 def _storm_original_steps(problem, T, x, root, k, w, c):
-    step_rng = root.child("step")
+    step_samples = _step_samples(problem, root.child("step"))
     law = storm_original_law(k, w, c)
     v = None
     grad_sum = 0.0
 
     def step(t, x, x_prev):
         nonlocal v, grad_sum
-        sample = problem.draw(step_rng)
+        sample = next(step_samples)
         g_new = problem.grad_at(sample, x)
         grad_sum += norm_sq(g_new)
         eta, beta = law(grad_sum)
@@ -497,7 +502,7 @@ def run_storm_original(problem, T, k=0.1, w=1.0, c=10.0, seed=0, keep_iterates=F
                 k=k, w=w, c=c)
 
 
-# Families served by a sampled-gradient oracle (`draw`/`grad_at`).
+# Families served by a sampled-gradient oracle (`draws`/`grad_at`).
 SAMPLED_FAMILIES = frozenset(
     name for name, cls in problems.FAMILIES.items() if issubclass(cls, problems.StochasticProblem)
 )

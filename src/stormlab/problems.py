@@ -4,9 +4,17 @@ An oracle's draw returns the sample itself: a noise array, a component
 index, or a pair of noise arrays. Evaluating one drawn sample at two
 different points is therefore deterministic, which is what the
 recursive-momentum estimators need: the two-point gradient difference
-under a shared sample has no fresh noise in it. The draws read
-`RngStream.normals` and `RngStream.index` directly: a problem's sizes and
-sigma were checked when it was built.
+under a shared sample has no fresh noise in it.
+
+Each family writes its draw once, as a block draw of `rows` samples with
+one generator call: `StochasticProblem.draws(rng, rows)` (a (rows, dim)
+noise block), `FiniteSumProblem.draws(rng, rows)` (a list of component
+indices) and `CompositionalProblem.inner_draws` and `outer_draws`. With
+sigma = 0 a block draw returns zeros and draws nothing. The one-call forms
+`draw`, `draw_inner` and `draw_outer` return row 0 of a one-row block; a
+run reads its per-step samples a block at a time through `numerics.samples`.
+A problem's sizes and sigma were checked when it was built, so the draws
+check nothing.
 
 Four families are provided:
 
@@ -55,6 +63,15 @@ EPSILON = 1e-2  # weight of the nonconvex family's quadratic term
 MEASURE_CHUNK_DOUBLES = 16_384
 
 
+def _normals(rng, sigma, shape) -> np.ndarray:
+    """sigma times a standard normal block of `shape`, drawn from `rng`'s
+    generator; sigma = 0 gives zeros, drawing nothing, so a noiseless run
+    does not depend on the stream's position."""
+    if sigma == 0.0:
+        return np.zeros(shape)
+    return sigma * rng.generator.standard_normal(shape)
+
+
 class Problem:
     """A smooth objective whose exact math is written once, as the block form.
 
@@ -87,8 +104,12 @@ class StochasticProblem(Problem):
     gradients.
     """
 
-    def draw(self, rng: RngStream) -> Vector:
-        return rng.normals(self.dim, self.sigma)
+    def draws(self, rng: RngStream, rows: int) -> np.ndarray:
+        """`rows` noise samples, (rows, dim), N(0, sigma^2) per entry."""
+        return _normals(rng, self.sigma, (rows, self.dim))
+
+    def draw(self, rng: RngStream):
+        return self.draws(rng, 1)[0]
 
     def grad_at(self, noise, x) -> Vector:
         return self.true_grad(x) + noise
@@ -251,8 +272,9 @@ class FiniteSumProblem(StochasticProblem):
         # Python-float scalars: the same IEEE operations as numpy scalars, faster.
         return self._dloss(float(a.dot(x)) - float(self.targets[i])) * a
 
-    def draw(self, rng: RngStream) -> int:
-        return rng.index(self.n)
+    def draws(self, rng: RngStream, rows: int) -> list:
+        """`rows` uniform component indices, as ints."""
+        return rng.generator.integers(self.n, size=rows).tolist()
 
     def grad_at(self, i, x) -> Vector:
         return self.component_grad(i, x)
@@ -280,16 +302,23 @@ class CompositionalProblem(Problem):
         u = X @ self.matrix.T + self.offset
         return 0.5 * np.einsum("ij,ij->i", u, u), u @ self.matrix
 
-    def draw_inner(self, rng: RngStream) -> tuple[Vector, np.ndarray]:
-        """One inner sample: (value noise (inner_dim,), Jacobian noise
-        (inner_dim, dim)), independent halves read in that order as one draw
-        of inner_dim * (1 + dim) values."""
+    def inner_draws(self, rng: RngStream, rows: int) -> list:
+        """`rows` inner samples, each (value noise (inner_dim,), Jacobian
+        noise (inner_dim, dim)): independent halves read in that order as
+        inner_dim * (1 + dim) values per sample."""
         m = self.inner_dim
-        noise = rng.normals(m * (1 + self.dim), self.sigma)
-        return noise[:m], noise[m:].reshape(m, self.dim)
+        noise = _normals(rng, self.sigma, (rows, m * (1 + self.dim)))
+        return list(zip(noise[:, :m], noise[:, m:].reshape(rows, m, self.dim)))
+
+    def outer_draws(self, rng: RngStream, rows: int) -> np.ndarray:
+        """`rows` outer gradient noise samples, (rows, inner_dim)."""
+        return _normals(rng, self.sigma, (rows, self.inner_dim))
+
+    def draw_inner(self, rng: RngStream) -> tuple[Vector, np.ndarray]:
+        return self.inner_draws(rng, 1)[0]
 
     def draw_outer(self, rng: RngStream) -> Vector:
-        return rng.normals(self.inner_dim, self.sigma)
+        return self.outer_draws(rng, 1)[0]
 
     def inner_value(self, inner, x) -> Vector:
         return self.matrix.dot(x) + self.offset + inner[0]

@@ -112,6 +112,11 @@ def test_slope_fit_rejects_bad_points():
         fit_loglog_slope([(10.0, 1.0), (100.0, -1.0)])
     with pytest.raises(ValueError, match="positive"):
         fit_loglog_slope([(0.0, 1.0), (100.0, 1.0)])
+    # a NaN point fitted to SlopeFit(nan, nan, nan), and an infinite one warned
+    for bad in (math.nan, math.inf):
+        for points in ([(1, 1.0), (2, bad), (4, 0.5)], [(1, 1.0), (bad, 2.0), (4, 0.5)]):
+            with pytest.raises(ValueError, match="finite, strictly positive"):
+                fit_loglog_slope(points)
 
 
 # --- summaries -------------------------------------------------------------------

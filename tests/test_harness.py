@@ -1042,3 +1042,18 @@ def test_diverging_cells_fail_and_summary_json_stays_strict(tmp_path):
     out_dir = tmp_path / "cli"
     assert cli_main(["run", str(cfg_path), "--out", str(out_dir)]) == 1
     json.loads((out_dir / "summary.json").read_text(), parse_constant=reject)
+
+
+def test_fit_slopes_leaves_out_groups_with_a_value_it_cannot_fit():
+    # an infinite avg_grad_norm would make fit_loglog_slope raise; NaN and 0
+    # were left out already
+    rows = [
+        dataclasses.make_dataclass("Row", ["algorithm", "problem", "T", "avg_grad_norm"])(
+            algorithm, "p", T, y)
+        for algorithm, ys in (("ok", (1.0, 0.5, 0.25)), ("inf", (1.0, math.inf, 0.25)),
+                              ("nan", (1.0, math.nan, 0.25)), ("zero", (1.0, 0.0, 0.25)))
+        for T, y in zip((10, 100, 1000), ys)
+    ]
+    slopes = harness.fit_slopes(rows)
+    assert [s["algorithm"] for s in slopes] == ["ok"]
+    assert slopes[0]["slope"] == pytest.approx(-math.log10(2))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,15 @@ from hypothesis import strategies as st
 
 from stormlab import numerics
 from stormlab.estimators import storm_init, storm_update
-from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, norm_sq
+from stormlab.numerics import BLOCK, MAX_BUFFERED, RngStream, as_vector, norm_sq, samples
 from stormlab.optimizers import warmup_batch_size
-from stormlab.problems import grad_check, make_noisy_quadratic
+from stormlab.problems import (
+    CompositionalProblem,
+    FiniteSumProblem,
+    NonconvexSmooth,
+    grad_check,
+    make_noisy_quadratic,
+)
 from stormlab.schedules import ada_lr, finite_sum_lr, stage_length, storm_original_params
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -44,20 +51,25 @@ def test_as_vector_rejects_matrices_and_nonfinite():
         as_vector([1.0, float("nan")])
 
 
+def _gaussian(stream, k, sigma, rows=1):
+    """`rows` samples of k noises, read from a stochastic family's block draw."""
+    return NonconvexSmooth(k, sigma, seed=0).draws(stream, rows)
+
+
 def test_gaussian_is_deterministic_per_stream():
-    a = RngStream(7).child("noise").normals(16, 2.0)
-    b = RngStream(7).child("noise").normals(16, 2.0)
+    a = _gaussian(RngStream(7).child("noise"), 16, 2.0)
+    b = _gaussian(RngStream(7).child("noise"), 16, 2.0)
     np.testing.assert_array_equal(a, b)
 
 
 def test_gaussian_sigma_zero_is_exact_zero():
-    v = RngStream(7).child("noise").normals(8, 0.0)
+    v = _gaussian(RngStream(7).child("noise"), 8, 0.0)[0]
     np.testing.assert_array_equal(v, np.zeros(8))
 
 
 def test_gaussian_sample_variance():
     # 1e5 draws: sample variance of unit-sigma coordinates within [0.97, 1.03]
-    draws = RngStream(123).child("variance-check").normals(100_000, 1.0)
+    draws = _gaussian(RngStream(123).child("variance-check"), 1, 1.0, rows=100_000)
     var = float(np.var(draws))
     assert 0.97 <= var <= 1.03
 
@@ -123,96 +135,91 @@ def test_mixed_operation_sequence_replays():
     assert sequence(RngStream(2).child("mix")) == sequence(RngStream(2).child("mix"))
 
 
-# A run of `count` reads of one kind from a stream. Counts up to 2.5 blocks
-# make runs cross refills; sizes up to 300 cover unbuffered reads too.
-READS = st.one_of(
-    st.tuples(st.just("normals"), st.integers(1, 300), st.sampled_from([1.0, 0.5, 2.5, 0.0]),
-              st.integers(1, BLOCK * 5 // 2)),
-    st.tuples(st.just("index"), st.integers(1, 20_000), st.none(), st.integers(1, BLOCK * 5 // 2)),
-    st.tuples(st.just("generator"), st.integers(1, 5), st.none(), st.integers(1, 3)),
-)
+def test_child_labels_that_would_name_another_stream_are_refused():
+    # Each pair gave identical draws when an int label was read modulo 2**64
+    # and a bool as an int: True and 1, -1 and 2**64 - 1, 2**64 and 0.
+    root = RngStream(4)
+    for bad in (True, False, np.True_, -1, 2**64, np.int64(-1)):
+        with pytest.raises(ValueError, match=rf"^stream label must .* got {re.escape(repr(bad))}$"):
+            root.child(bad)
+        with pytest.raises(ValueError):
+            root.child("run").child(bad)
+    # in-range ints, numpy ints and strings keep their streams
+    for label in (0, 1, 2**64 - 1, np.int64(3), np.uint64(2**64 - 1)):
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence([4, int(label)])))
+        np.testing.assert_array_equal(root.child(label).generator.standard_normal(4),
+                                      want.standard_normal(4))
+    labels = (0, 1, 2**64 - 1, "0", "1", "True", "run")
+    draws = {root.child(label).generator.standard_normal(4).tobytes() for label in labels}
+    assert len(draws) == len(labels)
 
 
-def _per_step(gen, kind, k, param):
-    """What one read returns without a buffer, straight from the generator;
-    a scale of 0 draws nothing."""
-    if kind == "normals":
-        return np.zeros(k) if param == 0.0 else param * gen.standard_normal(k)
+def _parts(sample):
+    """A sample's arrays: an inner sample is a (values, Jacobian) pair."""
+    return sample if isinstance(sample, tuple) else (sample,)
+
+
+def _reader_case(kind, dim, inner_dim, sigma, n):
+    """A family's block draw, the size of its sample, and one sample as one
+    generator call per step makes it (sigma = 0 draws nothing)."""
+
+    def noise(gen, shape):
+        return sigma * gen.standard_normal(shape) if sigma else np.zeros(shape)
+
+    if kind == "noise":
+        return NonconvexSmooth(dim, sigma, seed=1).draws, dim, lambda gen: noise(gen, dim)
     if kind == "index":
-        return int(gen.integers(k))
-    return gen.standard_normal(k)
+        return FiniteSumProblem(n, 2, seed=1).draws, 1, lambda gen: int(gen.integers(n))
+    comp = CompositionalProblem(dim, inner_dim, sigma, seed=1)
+    if kind == "outer":
+        return comp.outer_draws, inner_dim, lambda gen: noise(gen, inner_dim)
+    return (comp.inner_draws, inner_dim * (1 + dim),
+            lambda gen: (noise(gen, inner_dim), noise(gen, (inner_dim, dim))))
 
 
-def _buffered(stream, kind, k, param):
-    if kind == "normals":
-        return stream.normals(k, param)
-    if kind == "index":
-        return stream.index(k)
-    return stream.generator.standard_normal(k)
-
-
+# Reads of up to 2.5 blocks cross block edges; noise samples of up to 300
+# values and inner samples of up to 12 * 13 values go above MAX_BUFFERED.
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32), runs=st.lists(READS, min_size=1, max_size=5))
-def test_buffered_reads_equal_per_step_draws(seed, runs):
-    stream = RngStream(seed).child("buffered")
-    fresh = RngStream(seed).child("buffered").generator  # never buffered
-    for kind, k, param, count in runs:
-        for _ in range(count):
-            got = _buffered(stream, kind, k, param)
-            want = _per_step(fresh, kind, k, param)
-            assert type(got) is type(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    # the generator is left where per-step draws leave it
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(["noise", "index", "inner", "outer"]),
+       dim=st.integers(1, 300), inner_dim=st.integers(1, 12),
+       sigma=st.sampled_from([1.0, 0.5, 2.5, 0.0]), n=st.integers(1, 20_000),
+       count=st.integers(1, BLOCK * 5 // 2))
+def test_buffered_reads_equal_per_step_draws(seed, kind, dim, inner_dim, sigma, n, count):
+    if kind in ("inner", "outer"):
+        dim = 1 + dim % 12
+    draws, size, per_step = _reader_case(kind, dim, inner_dim, sigma, n)
+    stream = RngStream(seed).child("read")
+    fresh = RngStream(seed).child("read").generator  # one call per step
+    reader = samples(draws, stream, size)
+    for _ in range(count):
+        got, want = next(reader), per_step(fresh)
+        assert type(got) is type(want)
+        for got_part, want_part in zip(_parts(got), _parts(want)):
+            assert np.shape(got_part) == np.shape(want_part)
+            assert np.asarray(got_part).tobytes() == np.asarray(want_part).tobytes()
+    # the reader drew whole blocks of BLOCK samples, or one sample per call
+    # above MAX_BUFFERED, and left the generator where those per-step calls do
+    for _ in range(-count % BLOCK if size <= MAX_BUFFERED else 0):
+        per_step(fresh)
     assert stream.generator.bit_generator.state == fresh.bit_generator.state
 
 
 def test_buffers_stay_small_and_zero_sigma_draws_nothing():
-    stream = RngStream(3).child("s")
-    state = stream.generator.bit_generator.state
-    stream.normals(7, 0.0)
-    assert stream.generator.bit_generator.state == state
-    stream.normals(MAX_BUFFERED + 1)  # read straight from the generator
-    assert stream._buf is None
-    stream.normals(MAX_BUFFERED)
-    assert stream._buf.size == BLOCK * MAX_BUFFERED
-
-
-# Index bounds `RngStream.index` refuses, with the end of each refusal's wording.
-INDEX_REFUSALS = [(2.5, "be a whole number, got 2.5"), (True, "be a whole number, got True"),
-                  (np.True_, "be a whole number, got np.True_"), (0, "be >= 1, got 0")]
-
-
-@pytest.mark.parametrize("reads_before", [0, 1, BLOCK])
-def test_a_failed_read_leaves_the_stream_where_it_was(reads_before):
-    stream, fresh = RngStream(8).child("s"), RngStream(8).child("s")
-    for _ in range(reads_before):
-        np.testing.assert_array_equal(stream.normals(2), fresh.normals(2))
-    # a negative count is no buffered read that moves the stream back
-    with pytest.raises(ValueError):
-        stream.normals(-1)
-    with pytest.raises(TypeError):
-        stream.normals(2.5)
-    with pytest.raises(TypeError):
-        stream.normals(MAX_BUFFERED + 0.5)
-    for k in (2, 3, MAX_BUFFERED + 1):
-        np.testing.assert_array_equal(stream.normals(k), fresh.normals(k))
-    assert stream.index(9) == fresh.index(9)
-    for bad, _ in INDEX_REFUSALS:
-        with pytest.raises(ValueError):
-            stream.index(bad)
-    assert [stream.index(9) for _ in range(BLOCK)] == [fresh.index(9) for _ in range(BLOCK)]
-    for bad, _ in INDEX_REFUSALS:
-        with pytest.raises(ValueError):
-            stream.index(bad)
-    # a buffer filled for n = 1 serves no bool, though True == 1
-    assert stream.index(1) == fresh.index(1) == 0
-    for bad, _ in INDEX_REFUSALS:
-        with pytest.raises(ValueError):
-            stream.index(bad)
-    # an equal n of another object goes through the check and reads the same values
-    assert [stream.index(9), stream.index(np.int64(9)), stream.index(9)] == [
-        fresh.index(9) for _ in range(3)]
-    assert stream.generator.bit_generator.state == fresh.generator.bit_generator.state
+    # a block holds BLOCK samples of up to MAX_BUFFERED values, or one larger one
+    for size, rows in ((MAX_BUFFERED, BLOCK), (MAX_BUFFERED + 1, 1)):
+        reader = samples(NonconvexSmooth(size, 1.0, seed=0).draws, RngStream(3).child("s"), size)
+        for _ in range(BLOCK + 1):
+            assert next(reader).base.shape == (rows, size)
+    # sigma = 0: every family's samples are zeros, and nothing is drawn
+    comp = CompositionalProblem(3, 2, 0.0, seed=0)
+    for draws, size in ((NonconvexSmooth(7, 0.0, seed=0).draws, 7), (comp.outer_draws, 2),
+                        (comp.inner_draws, 8)):
+        stream = RngStream(3).child("s")
+        state = stream.generator.bit_generator.state
+        reader = samples(draws, stream, size)
+        for _ in range(BLOCK + 1):
+            assert not any(np.any(part) for part in _parts(next(reader)))
+        assert stream.generator.bit_generator.state == state
 
 
 def test_public_forms_refuse_bad_values_in_the_rules_wording():
@@ -241,14 +248,6 @@ def test_public_forms_refuse_bad_values_in_the_rules_wording():
         (lambda: warmup_batch_size(True), "horizon must be a whole number, got True"),
         (lambda: warmup_batch_size(-8), "horizon must be >= 1, got -8"),
     ]
-    # a stream's index bound, on a fresh stream and after index(9) or index(1)
-    # reads, whose buffer True == 1 must not be served from
-    for n_before, reads_before in ((9, 0), (9, 1), (9, BLOCK), (1, 1), (1, BLOCK)):
-        for bad, wording in INDEX_REFUSALS:
-            stream = RngStream(0).child("s")
-            for _ in range(reads_before):
-                stream.index(n_before)
-            refusals.append((lambda s=stream, n=bad: s.index(n), f"n must {wording}"))
     for call, message in refusals:
         with pytest.raises(ValueError) as info:
             call()

@@ -28,7 +28,9 @@ from stormlab.optimizers import (
     warmup_batch_size,
 )
 from stormlab.problems import (
+    CompositionalProblem,
     FiniteSumProblem,
+    StochasticProblem,
     from_spec,
     make_compositional,
     make_finite_sum,
@@ -528,17 +530,54 @@ def test_signatures_are_read_once_at_import(monkeypatch, fsum):
 
 @pytest.mark.parametrize("runner", [run_fs_storm, run_fs_storm_svrg])
 def test_finite_sum_rules_draw_through_the_problem(runner, fsum, monkeypatch):
-    draws = []
-    draw = FiniteSumProblem.draw
+    blocks, evaluated = [], []
+    draws, component_grad = FiniteSumProblem.draws, FiniteSumProblem.component_grad
 
-    def counted(self, rng):
-        draws.append(draw(self, rng))
-        return draws[-1]
+    def counted(self, rng, rows):
+        blocks.append(draws(self, rng, rows))
+        return blocks[-1]
 
-    monkeypatch.setattr(FiniteSumProblem, "draw", counted)
+    def recorded(self, i, x):
+        evaluated.append(i)
+        return component_grad(self, i, x)
+
+    monkeypatch.setattr(FiniteSumProblem, "draws", counted)
+    monkeypatch.setattr(FiniteSumProblem, "component_grad", recorded)
     runner(fsum, 41, seed=5)
-    assert len(draws) == 40  # one index per step after the first
-    assert all(0 <= i < fsum.n for i in draws)
+    # one block serves the 40 steps after the first, one index per step, each
+    # evaluated 2 (table) or 3 (anchored) times
+    per_step = 2 if runner is run_fs_storm else 3
+    assert len(blocks) == 1 and len(blocks[0]) == BLOCK
+    assert evaluated[-40 * per_step:] == [i for i in blocks[0][:40] for _ in range(per_step)]
+    assert all(0 <= i < fsum.n for i in blocks[0])
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_each_stream_draws_one_block_per_block_of_steps(name, monkeypatch):
+    # The samples of BLOCK steps come from one block draw, one generator
+    # call; a rule that read one sample per call would make T - 1 of them.
+    T = 2 * BLOCK + 3
+    calls = []
+    for cls, meth in ((StochasticProblem, "draws"), (FiniteSumProblem, "draws"),
+                      (CompositionalProblem, "inner_draws"), (CompositionalProblem, "outer_draws")):
+        def counted(self, rng, rows, _draws=getattr(cls, meth)):
+            calls.append((rng.path, rows))
+            return _draws(self, rng, rows)
+
+        monkeypatch.setattr(cls, meth, counted)
+    # a stage opening draws its warm-up batch as one block of another size
+    openings = T.bit_length() if name == "ada_storm_doubling" else 1
+    for spec in CHECK_PROBLEMS:
+        if spec["name"] not in ALGORITHMS[name][1]:
+            continue
+        calls.clear()
+        run_algorithm(name, from_spec(spec), T, seed=1)
+        paths = {path for path, _ in calls}
+        for path in paths:
+            rows = [r for p, r in calls if p == path]
+            assert rows.count(BLOCK) <= math.ceil(T / BLOCK), (spec["name"], path, rows)
+            assert len(rows) - rows.count(BLOCK) <= openings, (spec["name"], path, rows)
+        assert any(r == BLOCK for _, r in calls), spec["name"]
 
 
 def _entry_points(name, key, value, scratch):
@@ -698,8 +737,10 @@ def test_storm_original_rejects_c_zero_before_any_draw(quad):
     class NoDraws:
         spec, x0, dim = quad.spec, quad.x0, quad.dim
 
-        def draw(self, rng):
+        def draws(self, *args):
             raise AssertionError("drew a sample before rejecting c")
+
+        draw = draws
 
     for call in (
         lambda: run_storm_original(NoDraws(), 10, c=0),

@@ -445,7 +445,7 @@ def test_make_names_are_the_family_classes():
                         "finite_sum": FiniteSumProblem, "compositional": CompositionalProblem}
 
 
-# --- buffered oracle draws ------------------------------------------------------
+# --- oracle draws ---------------------------------------------------------------
 
 
 def _same_bits(a, b):
